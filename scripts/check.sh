@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus sanitizer passes over the concurrent subsystems:
 # ThreadSanitizer and AddressSanitizer over the parallel Monte-Carlo
-# engine, the serving layer and the network front end. Run from the
+# engine, the serving layer, the network front end and the reusable
+# desim circuits the fault trials reset between runs. Run from the
 # repo root:
 #
 #   scripts/check.sh          # full tier-1 + TSan + ASan
@@ -12,8 +13,8 @@ cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc)}
 
 SAN_TARGETS=(test_parallel_mc test_skew_kernel test_skew_block
-             test_fault test_obs test_serve test_net test_dist)
-SAN_REGEX='^test_(parallel_mc|skew_kernel|skew_block|fault|obs|serve|net|dist)$'
+             test_desim test_fault test_obs test_serve test_net test_dist)
+SAN_REGEX='^test_(parallel_mc|skew_kernel|skew_block|desim|fault|obs|serve|net|dist)$'
 
 echo "== tier-1: configure, build, ctest =="
 cmake -B build -S . >/dev/null
@@ -24,7 +25,7 @@ if [[ "${1:-}" == "--fast" ]]; then
     exit 0
 fi
 
-echo "== TSan: parallel MC engine + skew kernel + fault sweeps + observability + serving + net + dist =="
+echo "== TSan: parallel MC engine + skew kernel + desim + fault sweeps + observability + serving + net + dist =="
 cmake -B build-tsan -S . -DVSYNC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS" --target "${SAN_TARGETS[@]}"
 (cd build-tsan && ctest --output-on-failure -R "$SAN_REGEX")

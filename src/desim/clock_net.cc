@@ -16,28 +16,41 @@ ClockNet::ClockNet(Simulator &sim, const clocktree::BufferedClockTree &tree,
     arrivals.resize(sites.size());
 
     for (std::size_t i = 0; i < sites.size(); ++i) {
-        signals.push_back(std::make_unique<Signal>(
-            csprintf("site%zu", i)));
+        signals.emplace_back(csprintf("site%zu", i));
         // Record rising-edge arrivals at every site.
         std::vector<Time> *record = &arrivals[i];
-        signals.back()->onChange([record](Time t, bool v) {
+        signals.back().onChange([record](Time t, bool v) {
             if (v)
                 record->push_back(t);
         });
     }
 
-    for (std::size_t i = 1; i < sites.size(); ++i) {
-        const clocktree::BufferedSite &site = sites[i];
-        elements.push_back(std::make_unique<DelayElement>(
-            sim, *signals[site.parent], *signals[i], delay_of(site, i),
-            false));
+    // Wire the stages with placeholder delays; reset() draws the real
+    // ones, so construction and reuse share one delay order.
+    for (std::size_t i = 1; i < sites.size(); ++i)
+        elements.emplace_back(sim, signals[sites[i].parent], signals[i],
+                              EdgeDelays{}, false);
+    reset(delay_of);
+}
+
+void
+ClockNet::reset(const DelayFn &delay_of)
+{
+    const auto &sites = tree.sites();
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+        signals[i].reset();
+        arrivals[i].clear();
     }
+    for (std::size_t i = 1; i < sites.size(); ++i)
+        elements[i - 1].reset(delay_of(sites[i], i));
+    source.reset();
+    sourceEdges.clear();
 }
 
 Signal &
 ClockNet::nodeSignal(NodeId node)
 {
-    return *signals.at(tree.siteOfNode(node));
+    return signals.at(tree.siteOfNode(node));
 }
 
 const std::vector<Time> &
@@ -76,8 +89,8 @@ ClockNet::maxEventsInFlight(NodeId node) const
 void
 ClockNet::setJitter(const DelayElement::JitterFn &jitter)
 {
-    for (auto &el : elements)
-        el->setJitter(jitter);
+    for (DelayElement &el : elements)
+        el.setJitter(jitter);
 }
 
 } // namespace vsync::desim

@@ -52,8 +52,17 @@ class ClockNet
     ClockNet(const ClockNet &) = delete;
     ClockNet &operator=(const ClockNet &) = delete;
 
+    /**
+     * Make the net as good as newly built with @p delay_of: every
+     * signal low and unstuck, every element alive with fresh delays
+     * (drawn in the constructor's site order, so a seeded DelayFn
+     * reproduces a fresh net bit for bit), no recorded arrivals and
+     * no source. Reset the simulator first; the net does not own it.
+     */
+    void reset(const DelayFn &delay_of);
+
     /** The root signal (drive this with a PeriodicClock). */
-    Signal &rootSignal() { return *signals.front(); }
+    Signal &rootSignal() { return signals.front(); }
 
     /** Signal at original clock-tree node @p node. */
     Signal &nodeSignal(NodeId node);
@@ -97,19 +106,21 @@ class ClockNet
      * seam: fault::FaultInjector kills (dead buffer) or derates
      * (delay drift) stages through this hook.
      */
-    DelayElement &element(std::size_t i) { return *elements.at(i); }
+    DelayElement &element(std::size_t i) { return elements.at(i); }
 
     /**
      * Signal at buffered-tree site @p i (site 0 is the root).
      * Fault-injection seam for stuck-at nets and transient glitches.
      */
-    Signal &siteSignal(std::size_t i) { return *signals.at(i); }
+    Signal &siteSignal(std::size_t i) { return signals.at(i); }
 
   private:
     Simulator &sim;
     const clocktree::BufferedClockTree &tree;
-    std::deque<std::unique_ptr<Signal>> signals; // per site
-    std::deque<std::unique_ptr<DelayElement>> elements;
+    // Deques: address-stable (listeners point into them) and filled in
+    // a few block allocations rather than one per signal or element.
+    std::deque<Signal> signals; // per site
+    std::deque<DelayElement> elements;
     std::vector<std::vector<Time>> arrivals; // per site, rising edges
     std::unique_ptr<PeriodicClock> source;
     std::vector<Time> sourceEdges;

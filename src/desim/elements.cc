@@ -7,12 +7,23 @@ namespace vsync::desim
 
 DelayElement::DelayElement(Simulator &sim, Signal &in, Signal &out,
                            EdgeDelays delays, bool invert)
-    : sim(sim), out(out), edgeDelays(delays), invert(invert)
+    : sim(sim), out(out), invert(invert)
+{
+    reset(delays);
+    in.onChange([this](Time t, bool v) { onInput(t, v); });
+}
+
+void
+DelayElement::reset(EdgeDelays delays)
 {
     VSYNC_ASSERT(delays.rise >= 0.0 && delays.fall >= 0.0,
                  "negative element delay (rise=%g fall=%g)",
                  delays.rise, delays.fall);
-    in.onChange([this](Time t, bool v) { onInput(t, v); });
+    edgeDelays = delays;
+    dead = false;
+    driftScale = 1.0;
+    pending = Pending{};
+    swallowed = 0;
 }
 
 void
@@ -36,11 +47,25 @@ DelayElement::onInput(Time t, bool v)
         delay = 0.0;
     const Time at = t + delay;
 
+    if (minPulse <= 0.0) {
+        // Pure transport delay: nothing can cancel this event, so it
+        // needs no shared flag, and the closure fits std::function's
+        // inline buffer -- no heap allocation per event. run() sets
+        // now() to the event time before calling it, so sim.now() is
+        // exactly `at`.
+        sim.scheduleAt(at, [this, out_value]() {
+            out.set(sim.now(), out_value);
+        });
+        if (obs::SimProbe *p = sim.probe())
+            p->onElementFired(this, t);
+        return;
+    }
+
     // Inertial filtering: if the previous output event has not fired
     // yet and this one follows it by less than the minimum pulse width
     // with opposite polarity, the pulse between them is unphysical --
     // cancel both (the stage never switches).
-    if (minPulse > 0.0 && pending.cancelled && !*pending.cancelled &&
+    if (pending.cancelled && !*pending.cancelled &&
         pending.at >= sim.now() && out_value != pending.value &&
         at - pending.at < minPulse) {
         *pending.cancelled = true;

@@ -102,6 +102,15 @@ class DelayElement
     /** Output transitions swallowed by the inertial filter. */
     std::uint64_t swallowedPulses() const { return swallowed; }
 
+    /**
+     * Start a new run with edge delays @p delays: alive, nominal
+     * drift, nothing pending or swallowed. Jitter and the minimum
+     * pulse width are configuration and stay as set. Only call while
+     * the simulator holds no event of this element (after it ran dry
+     * or was reset).
+     */
+    void reset(EdgeDelays delays);
+
   private:
     Simulator &sim;
     Signal &out;
@@ -113,7 +122,8 @@ class DelayElement
     Time minPulse = 0.0;
     std::uint64_t swallowed = 0;
 
-    /** Pending (not yet fired) output event, for inertial filtering. */
+    /** Pending (not yet fired) output event, for inertial filtering;
+     *  transport-delay events (minPulse == 0) are never tracked. */
     struct Pending
     {
         Time at = -1.0;

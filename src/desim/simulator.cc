@@ -1,5 +1,6 @@
 #include "desim/simulator.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/logging.hh"
@@ -19,7 +20,17 @@ Simulator::scheduleAt(Time t, Callback fn)
 {
     VSYNC_ASSERT(t >= currentTime, "event in the past (%g < %g)",
                  t, currentTime);
-    queue.push({t, nextSeq++, std::move(fn)});
+    queue.push_back({t, nextSeq++, std::move(fn)});
+    std::push_heap(queue.begin(), queue.end(), Later{});
+}
+
+void
+Simulator::reset()
+{
+    queue.clear();
+    currentTime = 0.0;
+    nextSeq = 0;
+    processed = 0;
 }
 
 std::uint64_t
@@ -31,12 +42,13 @@ Simulator::run(Time until)
         wall0 = std::chrono::steady_clock::now();
 
     std::uint64_t count = 0;
-    while (!queue.empty() && queue.top().time <= until) {
-        // Move the callback out before popping so it may schedule more.
-        Event ev = queue.top();
+    while (!queue.empty() && queue.front().time <= until) {
         if (simProbe)
-            simProbe->onEventDispatched(ev.time, queue.size());
-        queue.pop();
+            simProbe->onEventDispatched(queue.front().time, queue.size());
+        // Move the event out before running it so it may schedule more.
+        std::pop_heap(queue.begin(), queue.end(), Later{});
+        Event ev = std::move(queue.back());
+        queue.pop_back();
         currentTime = ev.time;
         ev.fn();
         ++count;

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/types.hh"
@@ -68,8 +67,17 @@ class Simulator
     /** True when no events are pending. */
     bool idle() const { return queue.empty(); }
 
-    /** Total events processed since construction. */
+    /** Total events processed since construction (or reset()). */
     std::uint64_t eventsProcessed() const { return processed; }
+
+    /**
+     * Return to the freshly constructed state -- time 0, no pending
+     * events, sequence and event counters at zero -- so a circuit
+     * built once can be driven again with results bit-identical to a
+     * new simulator. The attached probe stays attached, and the event
+     * queue keeps its capacity (a reused simulator stops allocating).
+     */
+    void reset();
 
     /**
      * Attach an observability probe (nullptr detaches). While
@@ -101,7 +109,10 @@ class Simulator
         }
     };
 
-    std::priority_queue<Event, std::vector<Event>, Later> queue;
+    /** Binary heap under Later (std::push_heap / std::pop_heap): a
+     *  plain vector so reset() keeps its capacity and run() can move
+     *  each callback out instead of copying it. */
+    std::vector<Event> queue;
     Time currentTime = 0.0;
     std::uint64_t nextSeq = 0;
     std::uint64_t processed = 0;

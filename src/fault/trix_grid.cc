@@ -12,7 +12,7 @@ TrixGrid::TrixGrid(desim::Simulator &sim, int rows, int cols,
     : sim(sim), gridRows(rows), gridCols(cols)
 {
     VSYNC_ASSERT(rows >= 1 && cols >= 1, "bad grid %dx%d", rows, cols);
-    root = std::make_unique<desim::Signal>("trix_root");
+    root = &signals.emplace_back("trix_root");
     // Construct every node up front; listeners capture Node pointers,
     // so the vector must never reallocate after this resize.
     nodes.resize(static_cast<std::size_t>(rows) *
@@ -21,8 +21,7 @@ TrixGrid::TrixGrid(desim::Simulator &sim, int rows, int cols,
     for (int r = 0; r < rows; ++r) {
         for (int c = 0; c < cols; ++c) {
             Node &node = nodes[static_cast<std::size_t>(r) * cols + c];
-            node.out = std::make_unique<desim::Signal>(
-                csprintf("trix%d_%d", r, c));
+            node.out = &signals.emplace_back(csprintf("trix%d_%d", r, c));
             // Record the node's real firing times off the signal, not
             // the voter, so a stuck-at-low output reports "never
             // clocked" and a stuck-at-high fault reports its premature
@@ -43,18 +42,39 @@ TrixGrid::TrixGrid(desim::Simulator &sim, int rows, int cols,
                         ? *root
                         : *nodes[static_cast<std::size_t>(r - 1) * cols +
                                  pc].out;
-                node.linkOut[k] = std::make_unique<desim::Signal>(
+                node.linkOut[k] = &signals.emplace_back(
                     csprintf("trix%d_%d.l%d", r, c, k));
-                node.links[k] = std::make_unique<desim::DelayElement>(
-                    sim, src, *node.linkOut[k],
-                    desim::EdgeDelays::same(delay_of(r, c, k)));
+                // Placeholder delay; reset() draws the real one, so
+                // construction and reuse share one delay order.
+                node.links[k] = &elements.emplace_back(
+                    sim, src, *node.linkOut[k], desim::EdgeDelays{});
                 Node *np = &node;
-                TrixGrid *self = this;
-                node.linkOut[k]->onChange(
-                    [self, np, k](Time t, bool v) {
-                        if (v)
-                            self->onLinkRise(*np, k, t);
-                    });
+                node.linkOut[k]->onChange([np, k](Time t, bool v) {
+                    if (v)
+                        onLinkRise(*np, k, t);
+                });
+            }
+        }
+    }
+    reset(delay_of);
+}
+
+void
+TrixGrid::reset(const LinkDelayFn &delay_of)
+{
+    root->reset();
+    for (int r = 0; r < gridRows; ++r) {
+        for (int c = 0; c < gridCols; ++c) {
+            Node &node =
+                nodes[static_cast<std::size_t>(r) * gridCols + c];
+            node.out->reset();
+            node.seen = {{0, 0, 0}};
+            node.fired = 0;
+            node.firings.clear();
+            for (int k = 0; k < 3; ++k) {
+                node.linkOut[k]->reset();
+                node.links[k]->reset(
+                    desim::EdgeDelays::same(delay_of(r, c, k)));
             }
         }
     }
@@ -121,7 +141,7 @@ TrixGrid::netSignal(std::size_t index)
 void
 TrixGrid::pulse(Time start)
 {
-    desim::Signal *r = root.get();
+    desim::Signal *r = root;
     sim.scheduleAt(start, [r, start]() { r->set(start, true); });
     sim.run();
 }
@@ -134,15 +154,13 @@ TrixGrid::arrival(int row, int col) const
     return node.firings.empty() ? infinity : node.firings.front();
 }
 
-std::vector<Time>
-TrixGrid::cellArrivals() const
+void
+TrixGrid::cellArrivals(std::vector<Time> &out) const
 {
-    std::vector<Time> arr;
-    arr.reserve(nodes.size());
-    for (const Node &node : nodes)
-        arr.push_back(node.firings.empty() ? infinity
-                                           : node.firings.front());
-    return arr;
+    out.resize(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        out[i] = nodes[i].firings.empty() ? infinity
+                                          : nodes[i].firings.front();
 }
 
 } // namespace vsync::fault

@@ -27,8 +27,8 @@
 #define VSYNC_FAULT_TRIX_GRID_HH
 
 #include <array>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "desim/elements.hh"
@@ -62,6 +62,15 @@ class TrixGrid
 
     TrixGrid(const TrixGrid &) = delete;
     TrixGrid &operator=(const TrixGrid &) = delete;
+
+    /**
+     * Make the grid as good as newly built with @p delay_of: every net
+     * low and unstuck, every link alive with a fresh delay (drawn in
+     * the constructor's (row, col, k) order, so a seeded LinkDelayFn
+     * reproduces a fresh grid bit for bit), no votes and no firings.
+     * Reset the simulator first; the grid does not own it.
+     */
+    void reset(const LinkDelayFn &delay_of);
 
     int rows() const { return gridRows; }
     int cols() const { return gridCols; }
@@ -112,8 +121,10 @@ class TrixGrid
      * (cell r * cols + c is clocked by node (r, c)) -- the surface
      * core::skewFromArrivals consumes, shared with the faulty-tree
      * driver so tree and grid compare under identical fault plans.
+     * Written into @p out, resized to the node count (its capacity is
+     * reused across trials).
      */
-    std::vector<Time> cellArrivals() const;
+    void cellArrivals(std::vector<Time> &out) const;
 
     /** Nominal root-to-layer-@p row delay when every link has delay
      *  @p link_delay (layer r is r + 1 links deep). */
@@ -126,9 +137,9 @@ class TrixGrid
     /** One grid node: 3 incoming links and a median-voted output. */
     struct Node
     {
-        std::array<std::unique_ptr<desim::Signal>, 3> linkOut;
-        std::array<std::unique_ptr<desim::DelayElement>, 3> links;
-        std::unique_ptr<desim::Signal> out;
+        std::array<desim::Signal *, 3> linkOut{};
+        std::array<desim::DelayElement *, 3> links{};
+        desim::Signal *out = nullptr;
         /** Rising edges seen per link. */
         std::array<int, 3> seen{{0, 0, 0}};
         /** Pulses fired so far. */
@@ -140,10 +151,14 @@ class TrixGrid
     desim::Simulator &sim;
     int gridRows;
     int gridCols;
-    std::unique_ptr<desim::Signal> root;
+    // Deques: address-stable (nodes and listeners point into them) and
+    // filled in a few block allocations rather than one per object.
+    std::deque<desim::Signal> signals;       // root, then per node
+    std::deque<desim::DelayElement> elements; // 3 links per node
+    desim::Signal *root = nullptr;
     std::vector<Node> nodes; // row-major; stable after construction
 
-    void onLinkRise(Node &node, int k, Time t);
+    static void onLinkRise(Node &node, int k, Time t);
 };
 
 } // namespace vsync::fault

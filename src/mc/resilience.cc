@@ -111,7 +111,7 @@ ResilienceScenario::runTrialBlock(
     std::span<double> out_faults,
     const std::array<obs::Counter *, fault::faultKindCount>
         *kind_counters,
-    std::vector<Time> &lane_scratch) const
+    std::vector<Time> &lane_scratch, fault::TrialNetwork *network) const
 {
     VSYNC_ASSERT(count >= 1 && count <= core::SkewKernel::maxLanes,
                  "%zu trials per block (1..%zu supported)", count,
@@ -126,6 +126,8 @@ ResilienceScenario::runTrialBlock(
     // The desim pulses stay per-trial (event-driven simulation has no
     // lanes); only their arrival surfaces are batched, scattered
     // lane-major and reduced in one blocked pair fold.
+    fault::TrialNetwork local;
+    fault::TrialNetwork &net = network ? *network : local;
     std::vector<Time> arrival;
     for (std::size_t j = 0; j < count; ++j) {
         Rng trial_rng = Rng::forTrial(seed, first_trial + j);
@@ -137,15 +139,12 @@ ResilienceScenario::runTrialBlock(
             for (const fault::Fault &f : plan.faults())
                 (*kind_counters)[static_cast<std::size_t>(f.kind)]
                     ->inc();
-        if (kind == DistributionKind::TrixGrid) {
-            fault::simulateGridArrivalsUnderFaults(
-                *kernel, rows, cols, gridDelayFn(rc, delay_rng), plan,
-                arrival);
-        } else {
-            fault::simulateTreeArrivalsUnderFaults(
-                *kernel, btree, treeDelayFn(rc, delay_rng), plan,
-                arrival);
-        }
+        if (kind == DistributionKind::TrixGrid)
+            net.gridArrivals(*kernel, rows, cols,
+                             gridDelayFn(rc, delay_rng), plan, arrival);
+        else
+            net.treeArrivals(*kernel, btree, treeDelayFn(rc, delay_rng),
+                             plan, arrival);
         for (std::size_t c = 0; c < cells; ++c)
             lane_scratch[c * stride + j] = arrival[c];
         out_faults[j] = static_cast<double>(plan.size());
@@ -240,6 +239,7 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
         cfg.trials, cfg.grain,
         [&](std::size_t begin, std::size_t end) {
             std::vector<Time> laneScratch; // reused per chunk
+            fault::TrialNetwork network;   // built once per chunk
             for (std::size_t i = begin; i < end; i += blockW) {
                 const std::size_t w = std::min(blockW, end - i);
                 scenario.runTrialBlock(
@@ -248,7 +248,7 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
                     {point.clockedFraction.samples.data() + i, w},
                     {faults.data() + i, w},
                     cfg.metrics ? &kindCounters : nullptr,
-                    laneScratch);
+                    laneScratch, &network);
             }
         });
     reduceInTrialOrder(point.maxCommSkew);

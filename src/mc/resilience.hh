@@ -129,6 +129,12 @@ struct ResilienceScenario
      * kernel->blockWidth() and a narrower remainder block.
      * @p lane_scratch is resized once and reusable across calls on the
      * same thread.
+     *
+     * @param network the circuit the pulses run on, reset per trial
+     *        (see fault::TrialNetwork). Trial loops pass one network
+     *        per work unit or chunk, so the circuit is built once per
+     *        unit rather than once per trial; nullptr builds one for
+     *        this call. Results do not depend on it.
      */
     void runTrialBlock(std::uint64_t seed, std::uint64_t first_trial,
                        std::size_t count, std::span<double> out_skew,
@@ -137,7 +143,8 @@ struct ResilienceScenario
                        const std::array<obs::Counter *,
                                         fault::faultKindCount>
                            *kind_counters,
-                       std::vector<Time> &lane_scratch) const;
+                       std::vector<Time> &lane_scratch,
+                       fault::TrialNetwork *network = nullptr) const;
 };
 
 /**

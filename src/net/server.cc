@@ -50,11 +50,11 @@ sendAll(int fd, const char *data, std::size_t len)
 
 } // namespace
 
-/** Per-connection state shared by its reader and the dispatcher. */
+/** Per-connection state shared by its reader and the lanes. */
 struct ScenarioServer::Connection
 {
     int fd = -1;
-    /** Serialises writes: reader (error replies) vs dispatcher. */
+    /** Serialises writes: reader (error replies) vs lanes. */
     std::mutex writeMutex;
     /** The peer vanished; suppress further writes. */
     std::atomic<bool> dead{false};
@@ -130,7 +130,8 @@ ScenarioServer::start()
 
     started.store(true);
     acceptThread = std::thread([this] { acceptLoop(); });
-    dispatchThread = std::thread([this] { dispatchLoop(); });
+    for (unsigned lane = 0; lane < svc.threads(); ++lane)
+        dispatchThreads.emplace_back([this] { dispatchLoop(); });
     inform("net: serving on %s:%u", cfg.host.c_str(),
            unsigned(boundPort));
     return true;
@@ -162,15 +163,16 @@ ScenarioServer::stop()
     }
 
     // 2. Drain: the queue is frozen now (no readers left). Give the
-    //    dispatcher cfg.drainSeconds to answer what was admitted.
+    //    lanes cfg.drainSeconds to answer what was admitted.
     {
         std::unique_lock<std::mutex> lock(queueMutex);
-        const bool drained = drainCv.wait_for(
-            lock,
-            std::chrono::duration<double>(cfg.drainSeconds),
-            [this] { return queue.empty() && !dispatcherBusy; });
-        if (!drained) {
-            // 3. Out of patience: the in-flight batch gets cancelled
+        const auto idle = [this] {
+            return queue.empty() && busyLanes == 0;
+        };
+        if (!drainCv.wait_for(
+                lock, std::chrono::duration<double>(cfg.drainSeconds),
+                idle)) {
+            // 3. Out of patience: the in-flight batches get cancelled
             //    and the stragglers run with an expired deadline, so
             //    every admitted request still gets its (Partial)
             //    reply -- quickly.
@@ -178,14 +180,14 @@ ScenarioServer::stop()
             lock.unlock();
             svc.cancel();
             lock.lock();
-            drainCv.wait(lock, [this] {
-                return queue.empty() && !dispatcherBusy;
-            });
+            drainCv.wait(lock, idle);
         }
-        dispatcherExit = true;
+        lanesExit = true;
     }
     queueCv.notify_all();
-    dispatchThread.join();
+    for (std::thread &t : dispatchThreads)
+        t.join();
+    dispatchThreads.clear();
 
     // 4. Every reply has been written; now the sockets may close.
     {
@@ -312,8 +314,8 @@ ScenarioServer::connectionLoop(std::shared_ptr<Connection> conn)
                                              error));
             } else if (rq.kind == QueryKind::Info) {
                 // Health ping: answered here on the reader thread, so
-                // liveness probes see the truth even when the
-                // dispatcher and pool are saturated.
+                // liveness probes see the truth even when every lane
+                // and the pool are saturated.
                 InfoReply info;
                 info.threads = svc.threads();
                 info.queueCapacity = cfg.admissionCapacity;
@@ -367,20 +369,20 @@ ScenarioServer::dispatchLoop()
         {
             std::unique_lock<std::mutex> lock(queueMutex);
             queueCv.wait(lock, [this] {
-                return dispatcherExit || !queue.empty();
+                return lanesExit || !queue.empty();
             });
             if (queue.empty()) {
-                VSYNC_ASSERT(dispatcherExit, "spurious dispatch wake");
+                VSYNC_ASSERT(lanesExit, "spurious dispatch wake");
                 return;
             }
             p = std::move(queue.front());
             queue.pop_front();
-            dispatcherBusy = true;
+            ++busyLanes;
         }
         serveOne(p);
         {
             std::lock_guard<std::mutex> lock(queueMutex);
-            dispatcherBusy = false;
+            --busyLanes;
         }
         drainCv.notify_all();
     }
@@ -391,6 +393,9 @@ ScenarioServer::scenarioFor(const WireRequest &rq)
 {
     const std::tuple<int, int, int> key{static_cast<int>(rq.scheme),
                                         rq.rows, rq.cols};
+    // Held across a first build too, so two lanes asking for the same
+    // new scenario build it once.
+    std::lock_guard<std::mutex> lock(catalogMutex);
     auto it = catalog.find(key);
     if (it == catalog.end()) {
         auto sc = std::make_unique<Scenario>();

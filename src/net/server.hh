@@ -9,9 +9,14 @@
  *  - one accept thread, blocking in poll() on the listener;
  *  - one reader thread per connection, scanning lines out of a
  *    bounded buffer and parsing requests;
- *  - one dispatcher thread popping admitted requests off a bounded
- *    queue and running them on the embedded SweepService (whose
- *    ThreadPool does the actual Monte-Carlo work).
+ *  - one dispatch lane per compute thread (ServerConfig::
+ *    computeThreads), each popping admitted requests off one shared
+ *    bounded queue and running them on the embedded SweepService. A
+ *    request of one work unit computes on its lane's own thread, so
+ *    as many requests run at once as the service has compute threads;
+ *    a request of several units fans out on the service's pool.
+ *    Replies on one connection may therefore come back out of order;
+ *    clients match them by id.
  *
  * Admission control is explicit: a request that arrives while the
  * queue holds admissionCapacity entries is *shed* -- the client gets
@@ -21,16 +26,17 @@
  *
  * Deadlines propagate: a request's deadline_ms is measured from the
  * moment its line was read, so time spent waiting in the admission
- * queue counts against it. The dispatcher hands the *remaining*
- * budget to SweepService::run; a request whose budget ran out in the
+ * queue counts against it. The lane hands the *remaining* budget to
+ * SweepService::run; a request whose budget ran out in the
  * queue fails fast as an empty Partial, exactly like an in-process
  * caller passing a zero deadline.
  *
  * stop() is graceful: stop accepting, reply "shutting_down" to lines
- * already in flight, drain the queue for up to drainSeconds, then
- * cancel the in-flight batch and expire the stragglers (they answer
- * as Partial). Every response outlives the socket: connection file
- * descriptors close only after the dispatcher wrote its last reply.
+ * already in flight, drain the queue until it is empty and no lane is
+ * busy, for up to drainSeconds, then cancel every in-flight batch and
+ * expire the stragglers (they answer as Partial). Every response
+ * outlives the socket: connection file descriptors close only after
+ * every lane wrote its last reply.
  *
  * Metrics (when cfg.metrics is set) land under "net.*":
  * connections.accepted/active, requests.accepted/shed/bad/completed,
@@ -70,7 +76,8 @@ struct ServerConfig
     std::string host = "127.0.0.1";
     /** Port to bind; 0 = ephemeral (read the result from port()). */
     std::uint16_t port = 0;
-    /** Compute pool width; 0 = defaultThreadCount(). */
+    /** Compute pool width, and the number of dispatch lanes;
+     *  0 = defaultThreadCount(). */
     unsigned computeThreads = 0;
     /** Admission queue bound; arrivals beyond it are shed. */
     std::size_t admissionCapacity = 64;
@@ -127,7 +134,7 @@ class ScenarioServer
 
   private:
     struct Connection;
-    /** One admitted request waiting for the dispatcher. */
+    /** One admitted request waiting for a dispatch lane. */
     struct Pending
     {
         std::shared_ptr<Connection> conn;
@@ -141,7 +148,7 @@ class ScenarioServer
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> conn);
     void dispatchLoop();
-    /** Serve one admitted request (dispatcher thread only). */
+    /** Serve one admitted request (on a dispatch lane). */
     void serveOne(Pending &p);
     const Scenario &scenarioFor(const WireRequest &rq);
     void writeLine(Connection &conn, const std::string &line);
@@ -162,23 +169,27 @@ class ScenarioServer
     std::atomic<bool> expireStragglers{false};
 
     std::thread acceptThread;
-    std::thread dispatchThread;
+    /** The dispatch lanes, one per compute thread. */
+    std::vector<std::thread> dispatchThreads;
     std::mutex connMutex;
     std::vector<std::shared_ptr<Connection>> connections;
     std::vector<std::thread> connThreads;
 
     std::mutex queueMutex;
-    std::condition_variable queueCv; //!< dispatcher waits for work
+    std::condition_variable queueCv; //!< lanes wait for work
     std::condition_variable drainCv; //!< stop() waits for empty+idle
     std::deque<Pending> queue;
-    bool dispatcherBusy = false;
-    bool dispatcherExit = false;
+    /** Lanes serving a request right now. */
+    unsigned busyLanes = 0;
+    bool lanesExit = false;
 
     /**
-     * Scenario catalog, keyed by (scheme, rows, cols); dispatcher
-     * thread only, so unlocked. unique_ptr keeps borrowed layout/tree
-     * addresses stable across catalog growth.
+     * Scenario catalog, keyed by (scheme, rows, cols), shared by the
+     * lanes under catalogMutex. unique_ptr keeps borrowed layout/tree
+     * addresses stable across catalog growth; entries are never
+     * removed while the server runs.
      */
+    std::mutex catalogMutex;
     std::map<std::tuple<int, int, int>, std::unique_ptr<Scenario>>
         catalog;
 };

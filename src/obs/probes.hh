@@ -129,8 +129,10 @@ class PoolMetricsObserver : public PoolObserver
     Gauge &active;
     Gauge &activeHwm;
     Gauge &queueHwm;
-    /** Chunks of the current job not yet started. Only one job is in
-     *  flight per pool, so a single slot suffices. */
+    /** Chunks of the current job not yet started. The pool fans out
+     *  one job at a time, so a single slot suffices; single-chunk jobs
+     *  running inline on concurrent callers (serve::SweepService) never
+     *  wait, and overlapping them can only make the depth read low. */
     std::atomic<std::int64_t> chunksPending{0};
     std::atomic<std::int64_t> activeNow{0};
 };

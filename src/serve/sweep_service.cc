@@ -66,16 +66,17 @@ SweepService::~SweepService() = default;
 void
 SweepService::cancel()
 {
-    userCancel.cancel();
+    cancelEpoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 BatchOutcome
 SweepService::run(const std::vector<SweepRequest> &batch,
                   const BatchOptions &opts)
 {
-    std::lock_guard<std::mutex> runLock(runMutex);
-    userCancel.reset();
-    stopToken.reset();
+    const std::uint64_t epoch =
+        cancelEpoch.load(std::memory_order_relaxed);
+    // This batch's stop signal for the pool: cancel or deadline.
+    CancelToken stopToken;
     const Clock::time_point t0 = Clock::now();
     const bool hasDeadline = opts.deadlineSeconds < infinity;
     // A zero/negative budget is expired on arrival: fail fast. The
@@ -90,7 +91,7 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                     : Clock::time_point::max();
 
     const auto externallyCancelled = [&]() {
-        return userCancel.cancelled() ||
+        return cancelEpoch.load(std::memory_order_relaxed) != epoch ||
                (opts.cancel && opts.cancel->cancelled());
     };
 
@@ -160,7 +161,14 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     // Phase 3 -- run the units of all requests interleaved on the one
     // pool. Each unit is written by exactly one worker and the done
     // flags are read only after the pool joins, so plain bytes suffice.
+    // A single unit (or any batch on a 1-thread pool) runs inline on
+    // this thread, side by side with other callers' batches; several
+    // units fan out on the pool, whose one job slot those batches must
+    // take in turn.
     std::vector<std::uint8_t> unitDone(units.size(), 0);
+    std::unique_lock<std::mutex> fanOut(fanOutMutex, std::defer_lock);
+    if (units.size() > 1 && pool.threadCount() > 1)
+        fanOut.lock();
     pool.parallelForRange(
         units.size(), 1,
         [&](std::size_t ub, std::size_t ue) {
@@ -208,6 +216,9 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                         std::get<ResilienceRequest>(batch[w.request]);
                     const mc::ResilienceScenario &sc =
                         compiled[w.request].scenario;
+                    // One circuit per unit, reset per trial; it dies
+                    // with the unit, so nothing is held between runs.
+                    fault::TrialNetwork network;
                     for (std::size_t i = w.begin; i < w.end;
                          i += blockW) {
                         const std::size_t bw =
@@ -222,13 +233,15 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                                  i,
                              bw},
                             {o.faultSamples.data() + i, bw}, nullptr,
-                            arrival);
+                            arrival, &network);
                     }
                 }
                 unitDone[u] = 1;
             }
         },
         &stopToken);
+    if (fanOut.owns_lock())
+        fanOut.unlock();
 
     // Phase 4 -- reduce through the public fold seam: Complete
     // requests reduce exactly as the mc:: sweeps do (trial order over

@@ -27,8 +27,10 @@
 #ifndef VSYNC_SERVE_SWEEP_SERVICE_HH
 #define VSYNC_SERVE_SWEEP_SERVICE_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <variant>
 #include <vector>
 
@@ -180,9 +182,13 @@ struct ServiceConfig
 };
 
 /**
- * A synchronous batched sweep server. One batch runs at a time
- * (run() serialises internally); cancel() is safe from any thread
- * while a batch is in flight.
+ * A synchronous batched sweep server. run() may be called from several
+ * threads at once: a batch of one work unit runs inline on its caller,
+ * so concurrent small batches compute side by side (net::ScenarioServer
+ * runs one per compute thread). Batches of several units fan out on
+ * the one pool, which runs one job at a time, so those take turns.
+ * Results never depend on what else is running. cancel() is safe from
+ * any thread and stops every batch in flight.
  */
 class SweepService
 {
@@ -197,7 +203,8 @@ class SweepService
     BatchOutcome run(const std::vector<SweepRequest> &batch,
                      const BatchOptions &opts = {});
 
-    /** Cancel the in-flight batch (no-op when idle). */
+    /** Cancel every batch in flight. Batches started afterwards run
+     *  normally, so a cancel while idle is a no-op. */
     void cancel();
 
     /** The kernel cache (for stats or pre-warming). */
@@ -213,11 +220,11 @@ class SweepService
      *  (whose jobs call the observer) is destroyed first. */
     std::unique_ptr<obs::PoolMetricsObserver> poolMetrics;
     ThreadPool pool;
-    /** Set by cancel(); distinguishable from a deadline stop. */
-    CancelToken userCancel;
-    /** Internal aggregate stop signal handed to the pool. */
-    CancelToken stopToken;
-    std::mutex runMutex;
+    /** Bumped by cancel(): a batch is cancelled once the epoch moved
+     *  past the value it saw on entry. */
+    std::atomic<std::uint64_t> cancelEpoch{0};
+    /** Serialises the batches that fan out on the pool. */
+    std::mutex fanOutMutex;
 };
 
 } // namespace vsync::serve

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the discrete-event kernel, signals, delay elements,
- * registers and the periodic clock source.
+ * registers and the periodic clock source, including resetting a
+ * built circuit for another run.
  */
 
 #include <gtest/gtest.h>
@@ -304,6 +305,108 @@ TEST(Simulator, ScheduleAtNowRunsInTheSameRunAfterQueuedPeers)
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+}
+
+TEST(Simulator, ResetRestartsTimeEventsAndCounters)
+{
+    Simulator sim;
+    int stale = 0;
+    sim.schedule(1.0, []() {});
+    sim.schedule(4.0, [&stale]() { ++stale; });
+    sim.run(2.0);
+    ASSERT_FALSE(sim.idle());
+
+    sim.reset();
+    EXPECT_TRUE(sim.idle());
+    EXPECT_EQ(sim.now(), 0.0);
+    EXPECT_EQ(sim.eventsProcessed(), 0u);
+    // The pending event is gone, and ties again break by insertion
+    // order from a fresh sequence.
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i)
+        sim.schedule(0.5, [&order, i]() { order.push_back(i); });
+    EXPECT_EQ(sim.run(), 3u);
+    EXPECT_EQ(stale, 0);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(sim.now(), 0.5);
+}
+
+TEST(Signal, ResetRestoresTheInitialStateAndKeepsListeners)
+{
+    Signal s("s", true);
+    int changes = 0;
+    s.onChange([&changes](Time, bool) { ++changes; });
+    s.set(1.0, false);
+    s.forceStuck(2.0, true);
+    ASSERT_TRUE(s.isStuck());
+
+    s.reset();
+    EXPECT_TRUE(s.value());
+    EXPECT_FALSE(s.isStuck());
+    EXPECT_EQ(s.transitions(), 0u);
+    EXPECT_EQ(s.lastChange(), -infinity);
+    EXPECT_EQ(changes, 2); // reset itself notifies nobody
+    s.set(3.0, false);
+    EXPECT_EQ(changes, 3);
+    EXPECT_FALSE(s.value());
+}
+
+TEST(DelayElement, ResetRevivesAndRetimesTheElement)
+{
+    Simulator sim;
+    Signal in("in"), out("out");
+    DelayElement buf(sim, in, out, {1.0, 1.0}, false);
+    std::vector<Time> rises;
+    out.onChange([&rises](Time t, bool v) {
+        if (v)
+            rises.push_back(t);
+    });
+    buf.setDead(true);
+    buf.setDelayScale(3.0);
+    sim.schedule(0.0, [&in, &sim]() { in.set(sim.now(), true); });
+    sim.run();
+    EXPECT_TRUE(rises.empty());
+
+    sim.reset();
+    in.reset();
+    out.reset();
+    buf.reset({2.5, 4.0});
+    EXPECT_FALSE(buf.isDead());
+    EXPECT_EQ(buf.delayScale(), 1.0);
+    EXPECT_EQ(buf.delays().rise, 2.5);
+    sim.schedule(1.0, [&in, &sim]() { in.set(sim.now(), true); });
+    sim.run();
+    EXPECT_EQ(rises, (std::vector<Time>{3.5}));
+}
+
+TEST(DelayElement, TransportAndInertialEventsLandAtTheSameTimes)
+{
+    // The allocation-free transport path (no minimum pulse) and the
+    // cancellable inertial path must deliver identical edges when no
+    // pulse is narrow enough to swallow.
+    std::vector<std::vector<Time>> edges(2);
+    for (int inertial = 0; inertial < 2; ++inertial) {
+        Simulator sim;
+        Signal in("in"), mid("mid"), out("out");
+        DelayElement a(sim, in, mid, {0.3, 0.7}, false);
+        DelayElement b(sim, mid, out, {1.1, 0.2}, true);
+        if (inertial) {
+            a.setMinPulse(1e-9);
+            b.setMinPulse(1e-9);
+        }
+        out.onChange([&edges, inertial](Time t, bool) {
+            edges[inertial].push_back(t);
+        });
+        for (int k = 0; k < 6; ++k)
+            sim.schedule(0.1 + 2.0 * k, [&in, &sim, k]() {
+                in.set(sim.now(), k % 2 == 0);
+            });
+        sim.run();
+    }
+    // Six input edges; the inverter's output starts low, so the first
+    // (low-going) one is no change.
+    EXPECT_EQ(edges[0].size(), 5u);
+    EXPECT_EQ(edges[0], edges[1]);
 }
 
 TEST(PeriodicClock, EmitsRequestedEdges)

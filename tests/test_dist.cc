@@ -58,23 +58,44 @@ struct Fleet
     }
 };
 
-/** Bind-then-close: a loopback port with nothing listening on it. */
-std::uint16_t
-deadPort()
+/**
+ * A loopback port with nothing listening on it: bound but never
+ * listen()ed, so a connect gets ECONNREFUSED. The socket stays open
+ * for the object's lifetime, so no other test's ephemeral server can
+ * be handed the port in the meantime (which a bind-then-close port
+ * allows under parallel ctest).
+ */
+class DeadPort
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = 0;
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof(addr)),
-              0);
-    socklen_t len = sizeof(addr);
-    ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
-    ::close(fd);
-    return ntohs(addr.sin_port);
-}
+  public:
+    DeadPort()
+    {
+        fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = 0;
+        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+        EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        socklen_t len = sizeof(addr);
+        ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len);
+        boundPort = ntohs(addr.sin_port);
+    }
+    ~DeadPort() { ::close(fd); }
+
+    DeadPort(const DeadPort &) = delete;
+    DeadPort &operator=(const DeadPort &) = delete;
+
+    dist::WorkerEndpoint endpoint() const
+    {
+        return dist::WorkerEndpoint{"127.0.0.1", boundPort};
+    }
+
+  private:
+    int fd = -1;
+    std::uint16_t boundPort = 0;
+};
 
 /** Fast-failing coordinator knobs for tests. */
 dist::DistConfig
@@ -307,8 +328,17 @@ TEST(Dist, WorkerKilledMidRunIsReassignedAndStaysBitIdentical)
     cfg.pool.failureBudget = 2;
     dist::Coordinator coord(cfg);
 
+    // Stop worker 1 once it is serving its second shard (its kernel
+    // cache then has a hit), not after a fixed sleep: on a fast host
+    // the whole batch can finish inside any fixed delay.
     std::thread killer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        const serve::ScenarioCache &cache =
+            fleet.servers[1]->service().cache();
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (cache.hits() == 0 &&
+               std::chrono::steady_clock::now() < giveUp)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
         fleet.servers[1]->stop();
     });
     const dist::DistOutcome out = coord.run(batch);
@@ -332,14 +362,19 @@ TEST(Dist, DeadEndpointInTheFleetIsRoutedAround)
     const LocalReference ref(batch);
 
     Fleet fleet(1);
+    const DeadPort dead;
     std::vector<dist::WorkerEndpoint> eps = fleet.endpoints;
-    eps.push_back(dist::WorkerEndpoint{"127.0.0.1", deadPort()});
+    eps.push_back(dead.endpoint());
     dist::DistConfig cfg = testConfig(eps);
-    // One refused connect is enough: the endpoint is declared Dead
-    // before the (fast) batch can finish, making the health assertion
-    // below deterministic.
+    // One refused connect is enough to declare the endpoint Dead. It
+    // is probed before the run: the batch can finish on the live
+    // worker before the dead one's session thread is even scheduled,
+    // so leaving the probe to the run would make the health assertion
+    // below depend on timing. (Discovery during a run is covered by
+    // WholeFleetDeadYieldsPartialOutcomesNotAHang.)
     cfg.pool.failureBudget = 1;
     dist::Coordinator coord(cfg);
+    EXPECT_FALSE(coord.workers().ensureConnected(1));
     const dist::DistOutcome out = coord.run(batch);
 
     EXPECT_TRUE(out.ledger.balanced());
@@ -353,9 +388,9 @@ TEST(Dist, DeadEndpointInTheFleetIsRoutedAround)
 TEST(Dist, WholeFleetDeadYieldsPartialOutcomesNotAHang)
 {
     const std::vector<net::WireRequest> batch = mixedBatch();
-    std::vector<dist::WorkerEndpoint> eps = {
-        dist::WorkerEndpoint{"127.0.0.1", deadPort()},
-        dist::WorkerEndpoint{"127.0.0.1", deadPort()}};
+    const DeadPort dead0, dead1;
+    std::vector<dist::WorkerEndpoint> eps = {dead0.endpoint(),
+                                             dead1.endpoint()};
     dist::Coordinator coord(testConfig(eps));
     const dist::DistOutcome out = coord.run(batch);
 
@@ -524,13 +559,18 @@ TEST(Dist, BatchDeadlineYieldsPartialWithExactMask)
 {
     // A batch that cannot finish in time must come back Partial with
     // a truthful per-trial mask and a balanced ledger -- and whatever
-    // trials did finish must carry the local run's exact bytes.
+    // trials did finish must carry the local run's exact bytes. The
+    // shards dealt to the black hole never return (no hedging), so
+    // the batch cannot finish before the deadline on any host.
     const std::vector<net::WireRequest> batch = {
-        skewRequest(6, 6, 200000, 100)}; // 2000 shards, ~seconds
+        skewRequest(6, 6, 200000, 100)}; // 2000 shards
     const LocalReference ref(batch);
 
+    StallWorker staller;
     Fleet fleet(1);
-    dist::DistConfig cfg = testConfig(fleet.endpoints);
+    dist::DistConfig cfg = testConfig(
+        {fleet.endpoints[0],
+         dist::WorkerEndpoint{"127.0.0.1", staller.port()}});
     cfg.hedge = false;
     dist::Coordinator coord(cfg);
     dist::DistOptions opts;

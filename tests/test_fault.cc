@@ -2,7 +2,8 @@
  * @file
  * Tests for the fault-injection subsystem: deterministic fault plans,
  * the injector seams on desim/clocktree/hybrid targets, the TRIX
- * redundant grid's median voting, and the resilience sweeps'
+ * redundant grid's median voting, reused trial circuits against
+ * freshly built ones, and the resilience sweeps'
  * bit-identical-across-threads guarantee.
  */
 
@@ -303,6 +304,196 @@ TEST(HybridNetwork, SeveredWireStallsOnlyElementsWaitingOnIt)
         alive += t < infinity;
     EXPECT_LT(alive, res.lastCompletion.size());
     EXPECT_GT(alive, 0u);
+}
+
+// --- Reused trial circuits. -----------------------------------------
+
+/**
+ * A sequence of plans touching every fault kind, in an order where
+ * each plan follows one that left state behind (dead and drifted
+ * stages, stuck nets, glitch pulses, faults with a later onset), plus
+ * random mixed plans. Sites are taken modulo the universe.
+ */
+std::vector<FaultPlan>
+resetOraclePlans(const FaultUniverse &u)
+{
+    const auto plan = [](std::initializer_list<Fault> faults) {
+        FaultPlan p;
+        for (const Fault &f : faults)
+            p.add(f);
+        return p;
+    };
+    const std::size_t b = u.bufferSites, n = u.clockNets;
+    std::vector<FaultPlan> plans = {
+        FaultPlan(),
+        plan({{FaultKind::DeadBuffer, 1 % b, 0.0, 1.0, false}}),
+        FaultPlan(),
+        plan({{FaultKind::DelayDrift, 2 % b, 0.0, 3.0, false},
+              {FaultKind::DelayDrift, 5 % b, 0.3, 2.0, false}}),
+        plan({{FaultKind::StuckAtNet, 1 % n, 0.0, 1.0, true}}),
+        plan({{FaultKind::StuckAtNet, 2 % n, 0.0, 1.0, false}}),
+        FaultPlan(),
+        plan({{FaultKind::TransientGlitch, 3 % n, 0.5, 0.2, false}}),
+        plan({{FaultKind::TransientGlitch, (n - 1), 0.0, 0.3, false},
+              {FaultKind::DeadBuffer, 4 % b, 0.2, 1.0, false}}),
+        plan({{FaultKind::SeveredHandshakeWire, 0, 0.0, 1.0, false},
+              {FaultKind::StuckAtNet, 4 % n, 0.7, 1.0, true},
+              {FaultKind::DelayDrift, 0, 0.0, 1.5, false}}),
+        FaultPlan(),
+    };
+    Rng rng(0x5eed);
+    for (int k = 0; k < 6; ++k)
+        plans.push_back(
+            FaultPlan::generate(u, FaultRates::mixed(0.08), rng));
+    return plans;
+}
+
+TEST(TrialNetwork, ReusedTreeAndGridMatchFreshCircuitsBitForBit)
+{
+    // One TrialNetwork runs every plan of the sequence, alternating
+    // tree and grid (so each kind also survives the other's rebuild);
+    // every arrival surface must equal a freshly built circuit's.
+    const layout::Layout l = layout::meshLayout(8, 8);
+    const auto tree = clocktree::buildHTreeGrid(l, 8, 8);
+    const auto btree =
+        clocktree::BufferedClockTree::insertBuffers(tree, 4.0);
+    const core::SkewKernel treeKernel(l, tree);
+    const core::SkewKernel gridKernel(l);
+
+    // Seeded per-stage variation, redrawn identically for both runs.
+    Rng delayRng(0);
+    const desim::ClockNet::DelayFn treeDelay =
+        [&delayRng](const clocktree::BufferedSite &site, std::size_t) {
+            return desim::EdgeDelays::same(
+                site.wireFromParent * delayRng.uniform(0.045, 0.055) +
+                (site.isBuffer ? 0.2 : 0.0));
+        };
+    const TrixGrid::LinkDelayFn gridDelay = [&delayRng](int, int, int) {
+        return 0.2 + delayRng.uniform(0.045, 0.055);
+    };
+
+    const std::vector<FaultPlan> treePlans =
+        resetOraclePlans(universeOf(btree));
+    const std::vector<FaultPlan> gridPlans =
+        resetOraclePlans(TrixGrid::universe(8, 8));
+
+    TrialNetwork reused;
+    std::vector<Time> fresh, again;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 0; k < treePlans.size(); ++k) {
+            delayRng = Rng::forTrial(17, k);
+            TrialNetwork().treeArrivals(treeKernel, btree, treeDelay,
+                                        treePlans[k], fresh);
+            delayRng = Rng::forTrial(17, k);
+            reused.treeArrivals(treeKernel, btree, treeDelay,
+                                treePlans[k], again);
+            EXPECT_EQ(again, fresh) << "tree plan " << k;
+
+            if (pass == 1 && k % 3 != 0)
+                continue; // second pass: several tree trials in a row
+            delayRng = Rng::forTrial(18, k);
+            TrialNetwork().gridArrivals(gridKernel, 8, 8, gridDelay,
+                                        gridPlans[k], fresh);
+            delayRng = Rng::forTrial(18, k);
+            reused.gridArrivals(gridKernel, 8, 8, gridDelay,
+                                gridPlans[k], again);
+            EXPECT_EQ(again, fresh) << "grid plan " << k;
+        }
+    }
+}
+
+TEST(TrialNetwork, ResetStructuresMatchFreshOnesThroughTheirOwnApi)
+{
+    // The same oracle one layer down: a ClockNet and a TrixGrid reset
+    // in place (simulator first) replay every plan like new ones.
+    const layout::Layout l = layout::meshLayout(4, 4);
+    const auto tree = clocktree::buildHTreeGrid(l, 4, 4);
+    const auto btree =
+        clocktree::BufferedClockTree::insertBuffers(tree, 2.0);
+    const desim::ClockNet::DelayFn treeDelay =
+        [](const clocktree::BufferedSite &site, std::size_t i) {
+            return desim::EdgeDelays::same(site.wireFromParent * 0.05 +
+                                           0.001 * static_cast<double>(i % 7));
+        };
+    const TrixGrid::LinkDelayFn gridDelay = [](int r, int c, int k) {
+        return 0.25 + 0.01 * ((r * 5 + c * 3 + k) % 4);
+    };
+
+    desim::Simulator netSim, gridSim;
+    desim::ClockNet net(netSim, btree, treeDelay);
+    TrixGrid grid(gridSim, 4, 4, gridDelay);
+    const std::vector<FaultPlan> treePlans =
+        resetOraclePlans(universeOf(btree));
+    const std::vector<FaultPlan> gridPlans =
+        resetOraclePlans(grid.universe());
+    for (std::size_t k = 0; k < treePlans.size(); ++k) {
+        if (k > 0) {
+            netSim.reset();
+            net.reset(treeDelay);
+            gridSim.reset();
+            grid.reset(gridDelay);
+        }
+        desim::Simulator freshNetSim, freshGridSim;
+        desim::ClockNet freshNet(freshNetSim, btree, treeDelay);
+        TrixGrid freshGrid(freshGridSim, 4, 4, gridDelay);
+
+        FaultInjector(netSim, treePlans[k]).armClockNet(net);
+        FaultInjector(freshNetSim, treePlans[k]).armClockNet(freshNet);
+        net.drive(1.0, 2);
+        freshNet.drive(1.0, 2);
+        for (NodeId v = 0; v < static_cast<NodeId>(tree.size()); ++v)
+            EXPECT_EQ(net.risingArrivals(v), freshNet.risingArrivals(v))
+                << "plan " << k << " node " << v;
+        EXPECT_EQ(netSim.eventsProcessed(), freshNetSim.eventsProcessed())
+            << "plan " << k;
+
+        FaultInjector(gridSim, gridPlans[k]).armTrixGrid(grid);
+        FaultInjector(freshGridSim, gridPlans[k]).armTrixGrid(freshGrid);
+        grid.pulse();
+        freshGrid.pulse();
+        std::vector<Time> got, want;
+        grid.cellArrivals(got);
+        freshGrid.cellArrivals(want);
+        EXPECT_EQ(got, want) << "plan " << k;
+        EXPECT_EQ(gridSim.eventsProcessed(),
+                  freshGridSim.eventsProcessed())
+            << "plan " << k;
+    }
+}
+
+TEST(Resilience, RunTrialBlockOnAReusedNetworkMatchesRunTrial)
+{
+    // Blocks of every width on one network shared across the tree,
+    // spine and grid scenarios equal the per-trial fresh-circuit path.
+    const layout::Layout l = layout::meshLayout(6, 6);
+    const mc::ResilienceConfig rc;
+    TrialNetwork network;
+    std::vector<Time> laneScratch;
+    for (const auto kind :
+         {mc::DistributionKind::HTree, mc::DistributionKind::TrixGrid,
+          mc::DistributionKind::Spine}) {
+        const mc::ResilienceScenario scenario =
+            mc::compileResilienceScenario(l, 6, 6, kind, 0.1, rc,
+                                          core::directCompile());
+        std::uint64_t first = 3;
+        for (const std::size_t w : {std::size_t{1}, std::size_t{5},
+                                    std::size_t{8}, std::size_t{2}}) {
+            std::vector<double> skew(w), clocked(w), faults(w);
+            scenario.runTrialBlock(0x99, first, w, skew, clocked, faults,
+                                   nullptr, laneScratch, &network);
+            for (std::size_t j = 0; j < w; ++j) {
+                const DistributionOutcome ref =
+                    scenario.runTrial(0x99, first + j);
+                SCOPED_TRACE(testing::Message()
+                             << mc::distributionKindName(kind)
+                             << " trial " << first + j);
+                EXPECT_EQ(skew[j], ref.maxCommSkew);
+                EXPECT_EQ(clocked[j], ref.clockedFraction);
+                EXPECT_EQ(faults[j], static_cast<double>(ref.faultCount));
+            }
+            first += w;
+        }
+    }
 }
 
 // --- Resilience sweeps. ---------------------------------------------

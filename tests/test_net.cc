@@ -2,9 +2,10 @@
  * @file
  * Tests for the network front end: the wire protocol (round trips,
  * rejection of malformed requests), the loopback server (bit-identity
- * with direct SweepService runs at several pool widths, admission
- * control under burst, deadline propagation, graceful shutdown) and
- * the open-loop load generator's request accounting.
+ * with direct SweepService runs at several pool widths and on
+ * concurrent dispatch lanes, admission control under burst, deadline
+ * propagation, graceful shutdown) and the open-loop load generator's
+ * request accounting.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -363,9 +365,12 @@ TEST(Server, ServedResilienceMatchesDirectRunForTreeAndTrix)
 
 TEST(Server, OverCapacityBurstIsShedLoudlyNeverSilently)
 {
-    // With a 1-deep admission queue and the dispatcher pinned by a
+    // With a 1-deep admission queue and the single lane pinned by a
     // slow request, a burst must get immediate "overloaded" replies --
-    // every line answered, nothing hangs, nothing vanishes.
+    // every line answered, nothing hangs, nothing vanishes. The pin
+    // would run for seconds; it is cancelled once the reader has
+    // admitted or shed the whole burst, so the outcome does not hang
+    // on how fast the host computes.
     obs::MetricsRegistry reg;
     net::ServerConfig sc;
     sc.computeThreads = 1;
@@ -376,11 +381,17 @@ TEST(Server, OverCapacityBurstIsShedLoudlyNeverSilently)
 
     TestClient slow(server.port());
     ASSERT_TRUE(slow.connected());
-    net::WireRequest pin = skewRequest(100);
-    pin.trials = 4000;
+    net::WireRequest pin;
+    pin.id = 100;
+    pin.kind = net::QueryKind::Resilience;
+    pin.scheme = net::WireScheme::Trix;
+    pin.rows = 16;
+    pin.cols = 16;
+    pin.faultRate = 0.02;
+    pin.trials = 10000;
     pin.grain = 1;
     ASSERT_TRUE(slow.sendLine(net::encodeRequest(pin)));
-    // Let the pin request reach the dispatcher before bursting.
+    // Let the pin request reach the lane before bursting.
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
     constexpr std::size_t burst = 16;
@@ -391,6 +402,14 @@ TEST(Server, OverCapacityBurstIsShedLoudlyNeverSilently)
         rq.trials = 1;
         ASSERT_TRUE(client.sendLine(net::encodeRequest(rq)));
     }
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (reg.counter("net.requests.accepted").value() +
+                   reg.counter("net.requests.shed").value() <
+               burst + 1 &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.service().cancel(); // the pin answers Partial; later runs complete
 
     std::size_t completed = 0;
     std::size_t shed = 0;
@@ -517,8 +536,10 @@ TEST(Server, InfoPingReportsProtocolAndPoolShape)
 
 TEST(Server, GracefulStopDrainsInFlightThenRefusesConnections)
 {
+    obs::MetricsRegistry reg;
     net::ServerConfig sc;
     sc.computeThreads = 1;
+    sc.metrics = &reg;
     net::ScenarioServer server(sc);
     ASSERT_TRUE(server.start());
     const std::uint16_t port = server.port();
@@ -529,8 +550,13 @@ TEST(Server, GracefulStopDrainsInFlightThenRefusesConnections)
     rq.trials = 2000;
     rq.grain = 1;
     ASSERT_TRUE(client.sendLine(net::encodeRequest(rq)));
-    // Give the request time to be admitted (possibly mid-compute).
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    // Wait until the request is admitted (possibly mid-compute): stop()
+    // stops reading sockets, so a line still unread would get no reply.
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (reg.counter("net.requests.accepted").value() == 0 &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     server.stop(); // must drain: the reply is written before sockets close
 
@@ -581,6 +607,172 @@ TEST(Server, ExportsNetMetrics)
     EXPECT_EQ(reg.gauge("net.connections.active").value(), 0.0);
     // The embedded service's pool gauges ride along.
     EXPECT_GE(reg.counter("serve.pool.jobs").value(), 1u);
+}
+
+/** A reply line without its trailing server_ms field, the one value
+ *  that depends on timing. */
+std::string
+withoutServerMs(const std::string &line)
+{
+    return line.substr(0, line.rfind(",\"server_ms\""));
+}
+
+/**
+ * The reply a direct in-process SweepService run gives @p rq, built
+ * from the same scenario the server builds, without server_ms.
+ */
+std::string
+directReply(const net::WireRequest &rq)
+{
+    const layout::Layout l = layout::meshLayout(rq.rows, rq.cols);
+    const clocktree::ClockTree tree =
+        rq.scheme == net::WireScheme::Spine
+            ? clocktree::buildSpine(l)
+            : clocktree::buildHTreeGrid(l, rq.rows, rq.cols);
+    mc::McConfig mcc;
+    mcc.seed = rq.seed;
+    mcc.trials = rq.trials;
+    mcc.grain = rq.grain;
+    std::vector<serve::SweepRequest> batch;
+    if (rq.kind == net::QueryKind::Skew) {
+        batch.emplace_back(serve::SkewRequest{&l, &tree, rq.delay, mcc});
+    } else {
+        serve::ResilienceRequest r;
+        r.layout = &l;
+        r.rows = rq.rows;
+        r.cols = rq.cols;
+        r.kind = rq.scheme == net::WireScheme::Trix
+                     ? mc::DistributionKind::TrixGrid
+                     : mc::DistributionKind::HTree;
+        r.faultRate = rq.faultRate;
+        r.rc.delay = rq.delay;
+        r.cfg = mcc;
+        batch.emplace_back(r);
+    }
+    serve::SweepService svc(serve::ServiceConfig{1, 4, nullptr});
+    return withoutServerMs(
+        net::encodeOutcome(rq, svc.run(batch).outcomes[0], 0.0));
+}
+
+TEST(Server, TwoLanesServePipelinedConnectionsByteIdentically)
+{
+    // A 2-thread server runs two requests at once. Two connections
+    // pipeline a mix of one-unit requests (computed inline on a lane)
+    // and a multi-unit one (fanned out on the pool). stop() is called
+    // while both lanes are busy; it must still answer every admitted
+    // request, and every reply must be byte-identical to a direct run
+    // whatever lane served it and in whatever order it came back.
+    obs::MetricsRegistry reg;
+    net::ServerConfig sc;
+    sc.computeThreads = 2;
+    sc.admissionCapacity = 256;
+    sc.metrics = &reg;
+    net::ScenarioServer server(sc);
+    ASSERT_TRUE(server.start());
+
+    const auto make = [](net::QueryKind kind, net::WireScheme scheme,
+                         int side, std::size_t trials,
+                         std::size_t grain) {
+        net::WireRequest rq;
+        rq.kind = kind;
+        rq.scheme = scheme;
+        rq.rows = side;
+        rq.cols = side;
+        rq.faultRate = 0.05;
+        rq.trials = trials;
+        rq.grain = grain;
+        rq.delay = kDelay;
+        return rq;
+    };
+    using K = net::QueryKind;
+    using S = net::WireScheme;
+    // Each request computes for milliseconds, so the lanes stay busy
+    // long after the last line is admitted.
+    const std::vector<net::WireRequest> mix = {
+        make(K::Resilience, S::Trix, 8, 128, 128),
+        make(K::Skew, S::HTree, 16, 256, 256),
+        make(K::Resilience, S::HTree, 8, 96, 96),
+        make(K::Skew, S::Spine, 16, 192, 192),
+        make(K::Resilience, S::Trix, 8, 96, 8), // 12 units
+    };
+    constexpr std::size_t connections = 2;
+    constexpr std::size_t perConnection = 20;
+    std::map<std::uint64_t, std::string> want;
+    std::vector<std::vector<net::WireRequest>> sent(connections);
+    for (std::size_t c = 0; c < connections; ++c) {
+        for (std::size_t i = 0; i < perConnection; ++i) {
+            const std::uint64_t id = c * perConnection + i;
+            net::WireRequest rq = mix[id % mix.size()];
+            rq.id = id;
+            rq.seed = 1000 + id;
+            want[id] = directReply(rq);
+            sent[c].push_back(rq);
+        }
+    }
+
+    std::vector<std::unique_ptr<TestClient>> clients;
+    for (std::size_t c = 0; c < connections; ++c) {
+        clients.push_back(std::make_unique<TestClient>(server.port()));
+        ASSERT_TRUE(clients.back()->connected());
+    }
+    // Readers drain the sockets while the lanes write, so no lane can
+    // block on a full socket buffer.
+    std::vector<std::vector<std::string>> got(connections);
+    std::vector<std::thread> readers;
+    for (std::size_t c = 0; c < connections; ++c) {
+        readers.emplace_back([&, c] {
+            while (got[c].size() < perConnection) {
+                std::string line = clients[c]->recvLine();
+                if (line.empty())
+                    return;
+                got[c].push_back(std::move(line));
+            }
+        });
+    }
+    for (std::size_t c = 0; c < connections; ++c)
+        for (const net::WireRequest &rq : sent[c])
+            ASSERT_TRUE(clients[c]->sendLine(net::encodeRequest(rq)));
+
+    // Stop only once every line is admitted (stop() stops reading
+    // sockets) and both lanes compute at the same moment.
+    const std::uint64_t offered = connections * perConnection;
+    obs::Counter &accepted = reg.counter("net.requests.accepted");
+    obs::Counter &shed = reg.counter("net.requests.shed");
+    obs::Gauge &active = reg.gauge("serve.pool.active_workers");
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (accepted.value() + shed.value() < offered &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::yield();
+    obs::Counter &completed = reg.counter("net.requests.completed");
+    bool bothBusy = false;
+    while (!bothBusy && completed.value() < offered &&
+           std::chrono::steady_clock::now() < giveUp)
+        bothBusy = active.value() >= 2.0;
+    EXPECT_TRUE(bothBusy) << "the two lanes never computed at once";
+    server.stop();
+    for (std::thread &t : readers)
+        t.join();
+
+    std::size_t replies = 0;
+    for (std::size_t c = 0; c < connections; ++c) {
+        ASSERT_EQ(got[c].size(), perConnection) << "connection " << c;
+        for (const std::string &line : got[c]) {
+            const net::WireResponse rsp = parsedOk(line);
+            ASSERT_TRUE(rsp.ok) << line;
+            EXPECT_TRUE(rsp.complete) << rsp.id;
+            ASSERT_EQ(want.count(rsp.id), 1u) << "unknown or repeated id "
+                                               << rsp.id;
+            EXPECT_EQ(rsp.id / perConnection, c) << rsp.id;
+            EXPECT_EQ(withoutServerMs(line), want[rsp.id]) << rsp.id;
+            want.erase(rsp.id);
+            ++replies;
+        }
+    }
+    EXPECT_EQ(replies, offered);
+    EXPECT_EQ(accepted.value() + shed.value(), offered);
+    EXPECT_EQ(completed.value(), accepted.value());
+    EXPECT_GE(reg.gauge("serve.pool.active_workers_hwm").value(), 2.0);
 }
 
 TEST(LoadGen, EveryOfferedRequestIsAccountedForExactlyOnce)

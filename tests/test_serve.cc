@@ -3,12 +3,14 @@
  * Tests for the serving layer: the content-addressed ScenarioCache
  * (hit identity, LRU eviction, single-compile under concurrency) and
  * the SweepService (bit-identity with the mc:: entry points at 1/2/8
- * threads, cancellation, deadlines, partial-result flagging).
+ * threads and under concurrent callers, cancellation, deadlines,
+ * partial-result flagging).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -531,6 +533,167 @@ TEST(SweepService, ExportsPoolUtilizationMetrics)
     // others still waiting.
     EXPECT_GE(reg.gauge("serve.pool.queue_depth_hwm").value(), 1.0);
     EXPECT_LE(reg.gauge("serve.pool.queue_depth_hwm").value(), 7.0);
+}
+
+/** Bitwise equality of two outcomes of the same request. */
+void
+expectSameOutcome(const serve::RequestOutcome &got,
+                  const serve::RequestOutcome &want)
+{
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.trialsDone, want.trialsDone);
+    EXPECT_EQ(got.trialDone, want.trialDone);
+    EXPECT_TRUE(got.skew.bitIdentical(want.skew));
+    EXPECT_TRUE(got.resilience.maxCommSkew.bitIdentical(
+        want.resilience.maxCommSkew));
+    EXPECT_TRUE(got.resilience.clockedFraction.bitIdentical(
+        want.resilience.clockedFraction));
+    EXPECT_EQ(got.resilience.meanFaults, want.resilience.meanFaults);
+    EXPECT_EQ(got.faultSamples, want.faultSamples);
+}
+
+TEST(SweepService, ConcurrentRunsAreBitIdenticalToSerialRuns)
+{
+    // Three callers share one 2-thread service. Single-unit batches
+    // run inline on their callers, multi-unit ones take turns on the
+    // pool; every outcome must equal the serial run's, bit for bit.
+    const layout::Layout l6 = layout::meshLayout(6, 6);
+    const auto tree6 = clocktree::buildHTreeGrid(l6, 6, 6);
+    const layout::Layout l4 = layout::meshLayout(4, 4);
+
+    const auto skew = [&](std::uint64_t seed, std::size_t trials,
+                          std::size_t grain) {
+        mc::McConfig cfg;
+        cfg.seed = seed;
+        cfg.trials = trials;
+        cfg.grain = grain;
+        return serve::SweepRequest(
+            serve::SkewRequest{&l6, &tree6, kDelay, cfg});
+    };
+    const auto resilience = [&](mc::DistributionKind kind,
+                                std::uint64_t seed, std::size_t trials,
+                                std::size_t grain) {
+        serve::ResilienceRequest r;
+        r.layout = &l4;
+        r.rows = 4;
+        r.cols = 4;
+        r.kind = kind;
+        r.faultRate = 0.1;
+        r.cfg.seed = seed;
+        r.cfg.trials = trials;
+        r.cfg.grain = grain;
+        return serve::SweepRequest(r);
+    };
+    const std::vector<std::vector<serve::SweepRequest>> batches = {
+        {skew(1, 24, 24)}, // one unit
+        {resilience(mc::DistributionKind::TrixGrid, 2, 12, 12)},
+        {resilience(mc::DistributionKind::HTree, 3, 12, 16)},
+        {skew(4, 40, 8), resilience(mc::DistributionKind::TrixGrid, 5,
+                                    10, 3)}, // several units
+        {resilience(mc::DistributionKind::HTree, 6, 9, 2)},
+        {skew(7, 33, 5)},
+    };
+
+    std::vector<serve::BatchOutcome> serial;
+    {
+        serve::SweepService svc(serve::ServiceConfig{1, 32, nullptr});
+        for (const auto &b : batches)
+            serial.push_back(svc.run(b));
+    }
+
+    constexpr int callers = 3;
+    constexpr int rounds = 4;
+    serve::SweepService svc(serve::ServiceConfig{2, 32, nullptr});
+    std::vector<std::vector<serve::BatchOutcome>> got(callers);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < callers; ++c) {
+        threads.emplace_back([&, c] {
+            // Each caller walks the batches from its own offset, so
+            // different batches overlap in every round.
+            for (int k = 0; k < rounds * static_cast<int>(batches.size());
+                 ++k)
+                got[c].push_back(
+                    svc.run(batches[(c + k) % batches.size()]));
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    for (int c = 0; c < callers; ++c) {
+        ASSERT_EQ(got[c].size(), rounds * batches.size());
+        for (std::size_t k = 0; k < got[c].size(); ++k) {
+            const serve::BatchOutcome &want =
+                serial[(c + k) % batches.size()];
+            EXPECT_FALSE(got[c][k].cancelled);
+            EXPECT_FALSE(got[c][k].deadlineExpired);
+            ASSERT_EQ(got[c][k].outcomes.size(), want.outcomes.size());
+            for (std::size_t r = 0; r < want.outcomes.size(); ++r) {
+                SCOPED_TRACE(testing::Message()
+                             << "caller " << c << " run " << k
+                             << " request " << r);
+                EXPECT_EQ(got[c][k].outcomes[r].status,
+                          serve::RequestStatus::Complete);
+                expectSameOutcome(got[c][k].outcomes[r],
+                                  want.outcomes[r]);
+            }
+        }
+    }
+}
+
+TEST(SweepService, CancelStopsEveryConcurrentRunAndLaterRunsComplete)
+{
+    // Three long multi-unit batches run at once; one cancel() must
+    // stop all of them at a unit boundary, and a batch started after
+    // the cancel must run to completion. Each batch has thousands of
+    // units, far more than can finish between its compile and the
+    // cancel, and the cancel is sent only once all three have
+    // compiled (three cache lookups), so no timing is assumed.
+    const layout::Layout l = layout::meshLayout(6, 6);
+    serve::ResilienceRequest rq;
+    rq.layout = &l;
+    rq.rows = 6;
+    rq.cols = 6;
+    rq.kind = mc::DistributionKind::TrixGrid;
+    rq.faultRate = 0.05;
+    rq.cfg.trials = 80000;
+    rq.cfg.grain = 16; // 5000 units
+
+    for (const unsigned width : {1u, 2u}) {
+        serve::SweepService svc(serve::ServiceConfig{width, 32, nullptr});
+        std::vector<serve::BatchOutcome> outs(3);
+        std::vector<std::thread> threads;
+        for (std::size_t c = 0; c < outs.size(); ++c) {
+            threads.emplace_back([&, c] {
+                serve::ResilienceRequest mine = rq;
+                mine.cfg.seed = 100 + c;
+                outs[c] = svc.run({mine});
+            });
+        }
+        while (svc.cache().hits() + svc.cache().misses() < outs.size())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        svc.cancel();
+        for (std::thread &t : threads)
+            t.join();
+
+        for (std::size_t c = 0; c < outs.size(); ++c) {
+            SCOPED_TRACE(testing::Message()
+                         << "width " << width << " caller " << c);
+            EXPECT_TRUE(outs[c].cancelled);
+            const serve::RequestOutcome &o = outs[c].outcomes[0];
+            EXPECT_EQ(o.status, serve::RequestStatus::Partial);
+            EXPECT_LT(o.trialsDone, o.trialsRequested);
+            ASSERT_EQ(o.trialDone.size(), o.trialsRequested);
+        }
+
+        serve::ResilienceRequest small = rq;
+        small.cfg.trials = 32;
+        small.cfg.grain = 8;
+        const serve::BatchOutcome after = svc.run({small});
+        EXPECT_FALSE(after.cancelled) << width;
+        EXPECT_EQ(after.outcomes[0].status,
+                  serve::RequestStatus::Complete)
+            << width;
+    }
 }
 
 } // namespace
