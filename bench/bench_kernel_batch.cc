@@ -7,25 +7,33 @@
  * H-tree, run once through the scalar per-trial path
  * (SkewKernel::sampleMaxCommSkew, one non-inlined uniform() call per
  * tree node) and once per block width W in 1..8 through
- * SkewKernel::sampleMaxCommSkewBlock (bulk per-lane fillUniform, one
- * topological pass carrying W trials). Both sides run in the same
- * process, so the gate is meaningful on any host.
+ * SkewKernel::sampleMaxCommSkewBlock (one topological pass carrying W
+ * trials; W = 8 takes the SIMD path). Two layer measurements ride
+ * along: the eight-lane RngLanes8 generator against eight scalar
+ * Rng::fillUniform streams (ns per draw), and the W = 8 SIMD block
+ * against the generic lane loop at the same width
+ * (arrivalsBlockGeneric + maxCommSkewBlockGeneric). Both sides of
+ * every comparison run in the same process, so the gates are
+ * meaningful on any host.
  *
- * Every width is checked for bit-identity against the scalar samples
- * AND for exact draws() accounting -- the blocked path's contract is
- * "scalar results, fewer passes", so a single differing bit or a
- * single extra RNG draw at any width fails the run.
+ * Every width, both W = 8 paths and the generator are checked for
+ * bit-identity against the scalar results (and the blocked widths for
+ * exact draws() accounting) -- a single differing bit or a single
+ * extra RNG draw fails the run.
  *
- * Exit status is the CI gate: nonzero when any width diverges (bits
- * or draw counts) or the best width's speedup over scalar falls below
- * 1.5x. Results go to stdout as a table and to BENCH_kernel_batch.json
- * for the perf trajectory; the autotuned width
- * (SkewKernel::blockWidth) is reported alongside the measured best so
- * regressions in the tuner show up in the artifact.
+ * Exit status is the CI gate: nonzero when anything diverges, when the
+ * best width's speedup over scalar falls below 1.5x, or, when the
+ * x86-64-v4 clone runs, when the SIMD block is not 2x the generic
+ * W = 8 loop (other hosts run the portable clone, where only the bits
+ * are gated). Results go to stdout as tables and to
+ * BENCH_kernel_batch.json for the perf trajectory, with the clone that
+ * ran under "isa".
  */
 
 #include <chrono>
 #include <cstdio>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -44,6 +52,8 @@ constexpr std::size_t sweepTrials = 512;
 constexpr std::size_t maxWidth = 8;
 constexpr int reps = 3;
 constexpr double minBestSpeedup = 1.5;
+constexpr double minSimdSpeedup = 2.0;
+constexpr std::size_t drawsPerLane = std::size_t{1} << 14;
 const core::WireDelay delay{0.05, 0.005};
 
 /** Wall-clock milliseconds of @p fn, best of `reps` runs. */
@@ -76,11 +86,12 @@ main(int argc, char **argv)
     const layout::Layout l = layout::meshLayout(meshSide, meshSide);
     const auto tree = clocktree::buildHTreeGrid(l, meshSide, meshSide);
     const core::SkewKernel kernel(l, tree);
-    const std::size_t tuned = kernel.blockWidth();
+    const std::string isa = RngLanes8::isa();
 
     bench::BenchJson result("kernel_batch", seed);
     JsonWriter &json = result.writer();
-    json.keyValue("layout", "mesh32x32")
+    json.keyValue("isa", isa)
+        .keyValue("layout", "mesh32x32")
         .keyValue("trials", static_cast<std::uint64_t>(sweepTrials))
         .keyValue("reps_per_point", reps);
 
@@ -98,7 +109,7 @@ main(int argc, char **argv)
         }
     });
 
-    // --- Blocked path at every width in the autotune range. --------
+    // --- Blocked path at every width up to blockWidth(). ------------
     bench::headline("lane-blocked 512-trial sweep vs scalar "
                     "(32x32 H-tree)");
     Table table("sampleMaxCommSkewBlock width sweep",
@@ -160,21 +171,104 @@ main(int argc, char **argv)
         best_ms > 0.0 ? scalar_ms / best_ms : 0.0;
     json.keyValue("best_width", static_cast<std::uint64_t>(best_width))
         .keyValue("best_speedup", best_speedup)
-        .keyValue("autotuned_width",
-                  static_cast<std::uint64_t>(tuned));
+        .keyValue("block_width",
+                  static_cast<std::uint64_t>(
+                      core::SkewKernel::blockWidth()));
 
-    const bool gate_ok =
-        all_identical && all_draws_equal &&
-        best_speedup >= minBestSpeedup;
+    // --- Eight-lane generator vs eight scalar bulk fills. ----------
+    // Both write draw-major rows of 8, so the buffers must be equal.
+    const double lo = delay.lo();
+    const double hi = delay.hi();
+    const std::size_t lanesW = RngLanes8::width;
+    std::vector<double> scalarDraws(drawsPerLane * lanesW);
+    std::vector<double> laneDraws(drawsPerLane * lanesW);
+    const double scalar_fill_ms = bestMillis([&] {
+        for (std::size_t j = 0; j < lanesW; ++j) {
+            Rng rng = Rng::forTrial(seed, j);
+            rng.fillUniform(lo, hi, scalarDraws.data() + j, drawsPerLane,
+                            lanesW);
+        }
+    });
+    const double lane_fill_ms = bestMillis([&] {
+        std::vector<Rng> lanes;
+        for (std::size_t j = 0; j < lanesW; ++j)
+            lanes.push_back(Rng::forTrial(seed, j));
+        RngLanes8 gen(lanes);
+        gen.fillUniform(lo, hi, laneDraws);
+    });
+    const bool rng_identical = laneDraws == scalarDraws;
+    const double totalDraws = static_cast<double>(drawsPerLane * lanesW);
+    const double scalar_ns = scalar_fill_ms * 1e6 / totalDraws;
+    const double lane_ns = lane_fill_ms * 1e6 / totalDraws;
+
+    // --- W = 8: SIMD block vs the generic lane loop. ---------------
+    const auto sweepW8 = [&](bool simd, std::vector<double> &out) {
+        std::vector<Time> scratch(kernel.nodeCount() *
+                                  core::SkewKernel::laneStride(lanesW));
+        std::vector<Rng> lanes(lanesW);
+        for (std::size_t i = 0; i < sweepTrials; i += lanesW) {
+            for (std::size_t j = 0; j < lanesW; ++j)
+                lanes[j] = Rng::forTrial(seed, i + j);
+            const std::span<Time> skew(out.data() + i, lanesW);
+            if (simd) {
+                kernel.arrivalsBlock(delay, lanes, scratch);
+                kernel.maxCommSkewBlock(scratch, skew);
+            } else {
+                kernel.arrivalsBlockGeneric(delay, lanes, scratch);
+                kernel.maxCommSkewBlockGeneric(scratch, skew);
+            }
+        }
+    };
+    std::vector<double> simdSamples(sweepTrials), genericSamples(sweepTrials);
+    const double simd_ms = bestMillis([&] { sweepW8(true, simdSamples); });
+    const double generic_ms =
+        bestMillis([&] { sweepW8(false, genericSamples); });
+    const bool w8_identical =
+        simdSamples == ref_samples && genericSamples == ref_samples;
+    const double simd_speedup = simd_ms > 0.0 ? generic_ms / simd_ms : 0.0;
+    const bool v4 = isa == "x86-64-v4";
+
+    Table layers("eight-lane layers (" + isa + " clone)",
+                 {"layer", "baseline", "eight-lane", "speedup",
+                  "bit-identical"});
+    layers.addRow({"RNG ns/draw (scalar fillUniform)",
+                   Table::num(scalar_ns), Table::num(lane_ns),
+                   Table::num(lane_ns > 0.0 ? scalar_ns / lane_ns : 0.0),
+                   rng_identical ? "yes" : "NO"});
+    layers.addRow({"W=8 block ms (generic loop)", Table::num(generic_ms),
+                   Table::num(simd_ms), Table::num(simd_speedup),
+                   w8_identical ? "yes" : "NO"});
+    emitTable(layers, opts);
+
+    json.key("rng").beginObject()
+        .keyValue("scalar_fill_ns_per_draw", scalar_ns)
+        .keyValue("lanes8_ns_per_draw", lane_ns)
+        .keyValue("bit_identical", rng_identical)
+        .endObject();
+    json.key("w8_block").beginObject()
+        .keyValue("generic_best_ms", generic_ms)
+        .keyValue("simd_best_ms", simd_ms)
+        .keyValue("speedup", simd_speedup)
+        .keyValue("bit_identical", w8_identical)
+        .endObject();
+
+    const bool bits_ok =
+        all_identical && all_draws_equal && rng_identical && w8_identical;
+    const bool gate_ok = bits_ok && best_speedup >= minBestSpeedup &&
+                         (!v4 || simd_speedup >= minSimdSpeedup);
     json.key("gate").beginObject()
         .keyValue("min_best_speedup", minBestSpeedup)
+        .keyValue("min_simd_speedup", minSimdSpeedup)
+        .keyValue("simd_speedup_gated", v4)
         .keyValue("passed", gate_ok)
         .endObject();
 
     std::printf("\nwrote BENCH_kernel_batch.json (best W=%zu at "
-                "%.2fx vs %.1fx gate, autotuned W=%zu; results %s)\n",
-                best_width, best_speedup, minBestSpeedup, tuned,
-                all_identical && all_draws_equal ? "identical"
-                                                 : "DIVERGED");
+                "%.2fx vs %.1fx gate; %s W=8 block %.2fx the generic "
+                "loop%s; results %s)\n",
+                best_width, best_speedup, minBestSpeedup, isa.c_str(),
+                simd_speedup,
+                v4 ? " vs 2.0x gate" : ", ungated off x86-64-v4",
+                bits_ok ? "identical" : "DIVERGED");
     return gate_ok ? 0 : 1;
 }

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus sanitizer passes over the concurrent subsystems:
-# ThreadSanitizer and AddressSanitizer over the parallel Monte-Carlo
-# engine, the serving layer, the network front end and the reusable
-# desim circuits the fault trials reset between runs. Run from the
-# repo root:
+# ThreadSanitizer, AddressSanitizer and UndefinedBehaviorSanitizer over
+# the parallel Monte-Carlo engine, the blocked skew kernel, the serving
+# layer, the network front end and the reusable desim circuits the
+# fault trials reset between runs. TSan builds run the portable clone
+# of the eight-lane kernel (see VSYNC_LANE_CLONES in common/rng.hh);
+# ASan and UBSan run the clone the host picks. Run from the repo root:
 #
-#   scripts/check.sh          # full tier-1 + TSan + ASan
+#   scripts/check.sh          # full tier-1 + TSan + ASan + UBSan
 #   scripts/check.sh --fast   # tier-1 only
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,5 +36,10 @@ echo "== ASan: same targets under AddressSanitizer =="
 cmake -B build-asan -S . -DVSYNC_SANITIZE=address >/dev/null
 cmake --build build-asan -j"$JOBS" --target "${SAN_TARGETS[@]}"
 (cd build-asan && ctest --output-on-failure -R "$SAN_REGEX")
+
+echo "== UBSan: same targets under UndefinedBehaviorSanitizer =="
+cmake -B build-ubsan -S . -DVSYNC_SANITIZE=undefined >/dev/null
+cmake --build build-ubsan -j"$JOBS" --target "${SAN_TARGETS[@]}"
+(cd build-ubsan && ctest --output-on-failure -R "$SAN_REGEX")
 
 echo "== all checks passed =="

@@ -1,6 +1,7 @@
 #include "common/rng.hh"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -123,6 +124,55 @@ Rng::deriveStream(std::uint64_t salt) const
     SplitMix64 sm(seedValue ^ (salt * 0x9e3779b97f4a7c15ULL + 0x1234567ULL));
     std::uint64_t derived = sm.next() ^ rotl64(sm.next(), 13);
     return Rng(derived);
+}
+
+VSYNC_LANE_CLONES void
+RngLanes8::fillUniform(double lo, double hi, std::span<double> out)
+{
+    VSYNC_ASSERT(lo <= hi, "bad uniform range [%g, %g)", lo, hi);
+    VSYNC_ASSERT(out.size() % width == 0,
+                 "%zu slots is not a whole number of %zu-lane rows",
+                 out.size(), width);
+    RngLanes8 g = *this; // a local copy stays in registers
+    F64x8 row;
+    for (std::size_t k = 0; k < out.size(); k += width) {
+        g.uniform(lo, hi, row);
+        std::memcpy(out.data() + k, &row, sizeof row);
+    }
+    *this = g;
+}
+
+namespace
+{
+
+// One version per VSYNC_LANE_CLONES clone, picked by the same
+// load-time CPU check, so the name is that of the clone that runs.
+#if VSYNC_HAS_LANE_CLONES
+__attribute__((target("default"))) const char *
+cloneName()
+{
+    return "default";
+}
+
+__attribute__((target("arch=x86-64-v4"))) const char *
+cloneName()
+{
+    return "x86-64-v4";
+}
+#else
+const char *
+cloneName()
+{
+    return "default";
+}
+#endif
+
+} // namespace
+
+const char *
+RngLanes8::isa()
+{
+    return cloneName();
 }
 
 } // namespace vsync

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -34,6 +35,26 @@ rotl64(std::uint64_t x, int k)
 }
 
 } // namespace detail
+
+/**
+ * Builds the function it marks twice, once for x86-64-v4 (AVX-512) and
+ * once for the portable default, and picks one at load time from the
+ * host's CPU. The code is written once: 8-wide GCC vector arithmetic
+ * lowers to single zmm instructions in the v4 clone and to SSE2 pairs
+ * in the default one, with identical results (src/ builds with
+ * -ffp-contract=off, so neither clone fuses a*b+c). ThreadSanitizer
+ * instruments the load-time resolver, which then runs before the TSan
+ * runtime exists and crashes, so TSan builds get the default clone.
+ */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define VSYNC_HAS_LANE_CLONES 1
+#define VSYNC_LANE_CLONES \
+    __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define VSYNC_HAS_LANE_CLONES 0
+#define VSYNC_LANE_CLONES
+#endif
 
 /**
  * SplitMix64 generator, used to expand a single seed into a full state
@@ -96,7 +117,8 @@ class Rng
      * state hoisted into registers for the whole span -- the scalar
      * path pays two non-inlined calls and a counter increment per
      * draw, which dominates tight sampling loops. This is the bulk
-     * feed of SkewKernel::arrivalsBlock.
+     * feed of SkewKernel::arrivalsBlock's generic lane loop (the
+     * eight-lane path draws through RngLanes8 below).
      */
     void fillUniform(double lo, double hi, std::span<double> out);
 
@@ -157,6 +179,8 @@ class Rng
     static Rng forTrial(std::uint64_t seed, std::uint64_t trial);
 
   private:
+    friend class RngLanes8;
+
     std::array<std::uint64_t, 4> s;
     double cachedNormal;
     bool hasCachedNormal;
@@ -236,6 +260,94 @@ Rng::fillNormal(double mean, double stddev, std::span<double> out)
     for (double &z : out)
         z = mean + stddev * z;
 }
+
+/**
+ * Eight Rng streams stepped in lockstep: xoshiro256++ with each of its
+ * four state words held as an 8-wide vector, lane j being stream j.
+ *
+ * Lane j's draws are bitwise the scalar Rng::uniform(lo, hi) sequence
+ * of the Rng it was loaded from, and storeTo() hands that Rng back its
+ * advanced state and draws() count, so a run can switch between lanes
+ * and scalar draws without a single bit changing. The step functions
+ * are inline so that they compile into the VSYNC_LANE_CLONES caller
+ * they are used from (SkewKernel::arrivalsBlock's eight-lane path);
+ * fillUniform() is the one cloned entry of its own.
+ */
+class RngLanes8
+{
+  public:
+    /** Streams per generator. */
+    static constexpr std::size_t width = 8;
+
+    using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+    using F64x8 = double __attribute__((vector_size(64)));
+
+    /** Load the states of lanes[0..8). @pre lanes.size() == 8. */
+    [[gnu::always_inline]] explicit RngLanes8(std::span<const Rng> lanes)
+    {
+        VSYNC_ASSERT(lanes.size() == width, "%zu lanes, %zu needed",
+                     lanes.size(), width);
+        for (std::size_t j = 0; j < width; ++j) {
+            s0[j] = lanes[j].s[0];
+            s1[j] = lanes[j].s[1];
+            s2[j] = lanes[j].s[2];
+            s3[j] = lanes[j].s[3];
+        }
+    }
+
+    /** One draw per lane: out[j] is bitwise what lane j's scalar
+     *  uniform(lo, hi) would return next. */
+    [[gnu::always_inline]] void
+    uniform(double lo, double hi, F64x8 &out)
+    {
+        // The scalar next() and uniform() expressions, lane-wise.
+        // r >> 11 < 2^53, so the signed conversion (one instruction
+        // on AVX-512) is exact, as the scalar unsigned one is.
+        const U64x8 sum = s0 + s3;
+        const U64x8 r = ((sum << 23) | (sum >> 41)) + s0;
+        const U64x8 t = s1 << 17;
+        s2 ^= s0;
+        s3 ^= s1;
+        s1 ^= s2;
+        s0 ^= s3;
+        s2 ^= t;
+        s3 = (s3 << 45) | (s3 >> 19);
+        using I64x8 = std::int64_t __attribute__((vector_size(64)));
+        const I64x8 bits = __builtin_convertvector(r >> 11, I64x8);
+        const F64x8 u = __builtin_convertvector(bits, F64x8) * 0x1.0p-53;
+        out = lo + (hi - lo) * u;
+        ++drawn;
+    }
+
+    /** Store every lane's state back into lanes[j] and add the draws
+     *  taken to its draws() count. @pre lanes.size() == 8. */
+    [[gnu::always_inline]] void
+    storeTo(std::span<Rng> lanes) const
+    {
+        VSYNC_ASSERT(lanes.size() == width, "%zu lanes, %zu needed",
+                     lanes.size(), width);
+        for (std::size_t j = 0; j < width; ++j) {
+            lanes[j].s = {s0[j], s1[j], s2[j], s3[j]};
+            lanes[j].drawCount += drawn;
+        }
+    }
+
+    /**
+     * out.size() / 8 draws per lane, draw-major: out[k * 8 + j] is
+     * lane j's k-th uniform(lo, hi). @pre out.size() % 8 == 0. The
+     * bulk form the generator's own throughput is measured with;
+     * defined with VSYNC_LANE_CLONES in rng.cc.
+     */
+    void fillUniform(double lo, double hi, std::span<double> out);
+
+    /** The clone VSYNC_LANE_CLONES functions run on this host:
+     *  "x86-64-v4" or "default". */
+    static const char *isa();
+
+  private:
+    U64x8 s0{}, s1{}, s2{}, s3{};
+    std::uint64_t drawn = 0;
+};
 
 } // namespace vsync
 

@@ -1,9 +1,9 @@
 #include "core/skew_kernel.hh"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/logging.hh"
@@ -12,6 +12,74 @@
 
 namespace vsync::core
 {
+
+namespace
+{
+
+using F64x8 = RngLanes8::F64x8;
+using U64x8 = RngLanes8::U64x8;
+static_assert(SkewKernel::blockWidth() == RngLanes8::width,
+              "the SIMD path is the blockWidth() path");
+constexpr std::size_t rowStride8 =
+    SkewKernel::laneStride(RngLanes8::width);
+
+/**
+ * The eight-lane arrivals(): node v's row is its parent's row plus one
+ * RngLanes8 draw per lane times wireLen[v] -- the scalar expression,
+ * lane-wise, with the draw fed straight in (no draw buffer). Rows sit
+ * at the odd stride laneStride(8) = 9, so loads and stores are
+ * unaligned 8-wide copies.
+ */
+VSYNC_LANE_CLONES void
+propagateLanes8(double lo, double hi, const NodeId *parent,
+                const Length *wire, std::size_t n, std::span<Rng> lanes,
+                Time *arr)
+{
+    RngLanes8 gen(lanes);
+    const F64x8 root = {};
+    std::memcpy(arr, &root, sizeof root);
+    for (std::size_t v = 1; v < n; ++v) {
+        F64x8 up, draw;
+        std::memcpy(&up, arr + static_cast<std::size_t>(parent[v]) *
+                                   rowStride8,
+                    sizeof up);
+        gen.uniform(lo, hi, draw);
+        const F64x8 row = up + draw * wire[v];
+        std::memcpy(arr + v * rowStride8, &row, sizeof row);
+    }
+    gen.storeTo(lanes);
+}
+
+/**
+ * The eight-lane pair fold: out[j] = max over pairs of |a_j - b_j|,
+ * two 8-wide row loads per pair. fabs is a sign-bit clear, and the max
+ * keeps std::max's operand order; both are exact, and so is splitting
+ * the pairs over two accumulators (a max does not depend on order), so
+ * every lane is bitwise the scalar fold.
+ */
+VSYNC_LANE_CLONES void
+foldLanes8(const NodeId *a, const NodeId *b, std::size_t pairs,
+           const Time *arr, Time *out)
+{
+    constexpr std::uint64_t magnitude = ~(std::uint64_t{1} << 63);
+    F64x8 worst[2] = {};
+    for (std::size_t i = 0; i < pairs; ++i) {
+        F64x8 ra, rb;
+        std::memcpy(&ra, arr + static_cast<std::size_t>(a[i]) * rowStride8,
+                    sizeof ra);
+        std::memcpy(&rb, arr + static_cast<std::size_t>(b[i]) * rowStride8,
+                    sizeof rb);
+        const F64x8 d =
+            reinterpret_cast<F64x8>(reinterpret_cast<U64x8>(ra - rb) &
+                                    magnitude);
+        F64x8 &w = worst[i & 1];
+        w = w < d ? d : w;
+    }
+    const F64x8 w = worst[0] < worst[1] ? worst[1] : worst[0];
+    std::memcpy(out, &w, sizeof w);
+}
+
+} // namespace
 
 SkewKernel::SkewKernel(const layout::Layout &l)
 {
@@ -252,17 +320,38 @@ SkewKernel::maxCommSkew(std::span<const Time> node_arrival) const
 }
 
 void
+SkewKernel::checkFoldBlock(std::size_t width, std::size_t slots) const
+{
+    VSYNC_ASSERT(hasTree(), "maxCommSkew() needs a tree kernel");
+    VSYNC_ASSERT(width >= 1 && width <= maxLanes,
+                 "%zu lanes (1..%zu supported)", width, maxLanes);
+    VSYNC_ASSERT(slots == nodeCount() * laneStride(width),
+                 "%zu arrival slots for %zu nodes x stride %zu", slots,
+                 nodeCount(), laneStride(width));
+}
+
+void
 SkewKernel::maxCommSkewBlock(std::span<const Time> lane_arrival,
                              std::span<Time> out) const
 {
-    VSYNC_ASSERT(hasTree(), "maxCommSkew() needs a tree kernel");
+    if (out.size() != blockWidth()) {
+        maxCommSkewBlockGeneric(lane_arrival, out);
+        return;
+    }
+    checkFoldBlock(out.size(), lane_arrival.size());
+    foldLanes8(foldNodeA.data(), foldNodeB.data(), pairCount(),
+               lane_arrival.data(), out.data());
+    served.fetch_add(pairCount() * blockWidth(),
+                     std::memory_order_relaxed);
+}
+
+void
+SkewKernel::maxCommSkewBlockGeneric(std::span<const Time> lane_arrival,
+                                    std::span<Time> out) const
+{
     const std::size_t width = out.size();
-    VSYNC_ASSERT(width >= 1 && width <= maxLanes,
-                 "%zu lanes (1..%zu supported)", width, maxLanes);
+    checkFoldBlock(width, lane_arrival.size());
     const std::size_t stride = laneStride(width);
-    VSYNC_ASSERT(lane_arrival.size() == nodeCount() * stride,
-                 "%zu arrival slots for %zu nodes x stride %zu",
-                 lane_arrival.size(), nodeCount(), stride);
     Time worst[maxLanes] = {};
     const std::size_t pairs = pairCount();
     const Time *arr = lane_arrival.data();
@@ -289,19 +378,42 @@ SkewKernel::sampleMaxCommSkew(const WireDelay &delay, Rng &rng,
 }
 
 void
-SkewKernel::arrivalsBlock(const WireDelay &delay, std::span<Rng> lanes,
-                          std::span<Time> out) const
+SkewKernel::checkArrivalsBlock(const WireDelay &delay, std::size_t width,
+                               std::size_t slots) const
 {
     VSYNC_ASSERT(hasTree(), "arrivals() needs a tree-compiled kernel");
     VSYNC_ASSERT(delay.valid(), "bad delay parameters m=%g eps=%g",
                  delay.m, delay.eps);
-    const std::size_t width = lanes.size();
     VSYNC_ASSERT(width >= 1 && width <= maxLanes,
                  "%zu lanes (1..%zu supported)", width, maxLanes);
+    VSYNC_ASSERT(slots == nodeCount() * laneStride(width),
+                 "%zu arrival slots for %zu nodes x stride %zu", slots,
+                 nodeCount(), laneStride(width));
+}
+
+void
+SkewKernel::arrivalsBlock(const WireDelay &delay, std::span<Rng> lanes,
+                          std::span<Time> out) const
+{
+    if (lanes.size() != blockWidth()) {
+        arrivalsBlockGeneric(delay, lanes, out);
+        return;
+    }
+    checkArrivalsBlock(delay, lanes.size(), out.size());
+    propagateLanes8(delay.m - delay.eps, delay.m + delay.eps,
+                    parentOf.data(), wireLen.data(), nodeCount(), lanes,
+                    out.data());
+    batches.fetch_add(blockWidth(), std::memory_order_relaxed);
+}
+
+void
+SkewKernel::arrivalsBlockGeneric(const WireDelay &delay,
+                                 std::span<Rng> lanes,
+                                 std::span<Time> out) const
+{
+    const std::size_t width = lanes.size();
+    checkArrivalsBlock(delay, width, out.size());
     const std::size_t stride = laneStride(width);
-    VSYNC_ASSERT(out.size() == nodeCount() * stride,
-                 "%zu arrival slots for %zu nodes x stride %zu",
-                 out.size(), nodeCount(), stride);
     const double lo = delay.m - delay.eps;
     const double hi = delay.m + delay.eps;
     Time *arr = out.data();
@@ -406,67 +518,6 @@ SkewKernel::arrivalSkewBlock(std::span<const Time> lane_cell_arrival,
         out[j].pairCount = pairs;
     }
     served.fetch_add(pairs * width, std::memory_order_relaxed);
-}
-
-std::size_t
-SkewKernel::blockWidth() const
-{
-    std::call_once(tuneOnce, [this] { tunedWidth = autotuneWidth(); });
-    return tunedWidth;
-}
-
-std::size_t
-SkewKernel::autotuneWidth() const
-{
-    // A tiny best-of-reps sweep over widths 1..8 on this kernel's own
-    // arrays. The probe trial count per call equals the width, so the
-    // per-trial cost is bestMs / w; every width is bit-identical, so a
-    // noisy pick costs speed, never correctness. The counter traffic
-    // (batches/served) is a fixed function of the kernel shape --
-    // independent of the measured timings -- keeping metric exports
-    // deterministic across hosts and runs.
-    constexpr std::size_t probeMax = 8;
-    constexpr int reps = 3;
-    constexpr std::uint64_t probeSeed = 0x7a9eb10cULL;
-    if (!hasTree() && !cellCount())
-        return 1;
-    using ProbeClock = std::chrono::steady_clock;
-    const WireDelay probeDelay; // defaults are valid()
-    std::vector<Time> scratch;
-    std::array<Time, probeMax> skews;
-    std::array<ArrivalSkew, probeMax> surfaces;
-    std::vector<Rng> lanes;
-    lanes.reserve(probeMax);
-    double bestPerTrial = infinity;
-    std::size_t best = 1;
-    for (std::size_t w = 1; w <= probeMax; ++w) {
-        double bestMs = infinity;
-        for (int rep = 0; rep < reps; ++rep) {
-            const auto t0 = ProbeClock::now();
-            if (hasTree()) {
-                lanes.clear();
-                for (std::size_t j = 0; j < w; ++j)
-                    lanes.push_back(
-                        Rng::forTrial(probeSeed, w * probeMax + j));
-                sampleMaxCommSkewBlock(probeDelay, {lanes.data(), w},
-                                       {skews.data(), w}, scratch);
-            } else {
-                scratch.assign(cellCount() * laneStride(w), 0.0);
-                arrivalSkewBlock(scratch, {surfaces.data(), w});
-            }
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    ProbeClock::now() - t0)
-                    .count();
-            bestMs = std::min(bestMs, ms);
-        }
-        const double perTrial = bestMs / static_cast<double>(w);
-        if (perTrial < bestPerTrial) {
-            bestPerTrial = perTrial;
-            best = w;
-        }
-    }
-    return best;
 }
 
 KernelProvider

@@ -37,7 +37,11 @@
  * odd count so power-of-two widths cannot alias cache sets. Each lane
  * advances its own Rng in lockstep and replays the scalar draw
  * sequence exactly, so blocked results are BIT-IDENTICAL to the scalar
- * path at every width; blockWidth() picks W by a one-shot autotune.
+ * path at every width. The callers drive W = blockWidth() = 8, where
+ * arrivalsBlock and maxCommSkewBlock take an 8-wide SIMD path (the
+ * RngLanes8 generator fused into the propagation, two row loads per
+ * fold pair); other widths run the generic lane loop, which the
+ * *Generic entry points expose at every width as the oracle.
  * A kernel is immutable after construction and safe to share read-only
  * across threads; the query counters are relaxed atomics.
  */
@@ -49,7 +53,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -212,9 +215,11 @@ class SkewKernel
     /**
      * Blocked arrivals(): propagate lanes.size() independent trials in
      * one node-outer, lane-inner pass. Lane j advances lanes[j] through
-     * the exact scalar draw sequence (bulk strided Rng::fillUniform per
-     * node chunk), so row v of @p out holds, for every lane j,
-     * bitwise the value arrivals() would produce for that lane's Rng.
+     * the exact scalar draw sequence, so row v of @p out holds, for
+     * every lane j, bitwise the value arrivals() would produce for that
+     * lane's Rng. At blockWidth() lanes this is one 8-wide vector row
+     * per node, drawn by RngLanes8 straight into the propagation;
+     * other widths run arrivalsBlockGeneric().
      *
      * @param out lane-major, nodeCount() * laneStride(lanes.size())
      *            slots; node v's lane-j arrival is
@@ -224,12 +229,26 @@ class SkewKernel
     void arrivalsBlock(const WireDelay &delay, std::span<Rng> lanes,
                        std::span<Time> out) const;
 
+    /** arrivalsBlock() through the generic lane loop at any width
+     *  (bulk strided Rng::fillUniform per node chunk, then a
+     *  lane-inner propagation): the oracle the 8-lane path is checked
+     *  and measured against. */
+    void arrivalsBlockGeneric(const WireDelay &delay,
+                              std::span<Rng> lanes,
+                              std::span<Time> out) const;
+
     /** Blocked maxCommSkew(): fold a lane-major node-arrival matrix
      *  (as filled by arrivalsBlock()) into out[j] = lane j's max comm
      *  skew; out.size() selects the width. Bitwise equal to scalar
-     *  maxCommSkew() per lane. */
+     *  maxCommSkew() per lane. At blockWidth() lanes each pair is two
+     *  8-wide row loads; other widths run maxCommSkewBlockGeneric(). */
     void maxCommSkewBlock(std::span<const Time> lane_arrival,
                           std::span<Time> out) const;
+
+    /** maxCommSkewBlock() through the generic lane loop at any width:
+     *  the fold's oracle. */
+    void maxCommSkewBlockGeneric(std::span<const Time> lane_arrival,
+                                 std::span<Time> out) const;
 
     /**
      * arrivalsBlock() + maxCommSkewBlock(): the blocked Monte-Carlo
@@ -250,15 +269,12 @@ class SkewKernel
                           std::span<ArrivalSkew> out) const;
 
     /**
-     * The lane width the blocked entry points should be driven at on
-     * this host, in [1, 8]. The first call measures widths 1..8 once
-     * on this kernel's own arrays (a few dozen blocked trials) and
-     * caches the winner for the kernel's lifetime -- a ScenarioCache
-     * hit therefore reuses the tuned width along with the compiled
-     * arrays. Thread safe; every width is bit-identical, so the choice
-     * affects speed only, never results.
+     * The lane width the blocked entry points are driven at: 8, the
+     * width of the SIMD path (one 512-bit vector of doubles). Every
+     * width is bit-identical, so the choice affects speed only, never
+     * results.
      */
-    std::size_t blockWidth() const;
+    static constexpr std::size_t blockWidth() { return 8; }
 
     /** Wall-clock milliseconds the compile took. */
     double buildMillis() const { return buildMs; }
@@ -291,7 +307,9 @@ class SkewKernel
     void compilePairs(const layout::Layout &l,
                       const clocktree::ClockTree *t);
     void compileTree(const clocktree::ClockTree &t);
-    std::size_t autotuneWidth() const;
+    void checkArrivalsBlock(const WireDelay &delay, std::size_t width,
+                            std::size_t slots) const;
+    void checkFoldBlock(std::size_t width, std::size_t slots) const;
 
     std::size_t cells = 0;
 
@@ -322,8 +340,6 @@ class SkewKernel
     double buildMs = 0.0;
     mutable std::atomic<std::uint64_t> served{0};
     mutable std::atomic<std::uint64_t> batches{0};
-    mutable std::once_flag tuneOnce;
-    mutable std::size_t tunedWidth = 1;
 };
 
 /**

@@ -45,10 +45,10 @@ skewSweep(const layout::Layout &l, const clocktree::ClockTree &t,
     if (cfg.metrics)
         wall0 = std::chrono::steady_clock::now();
 
-    // Lane-blocked trial loop: W trials share one pass over the flat
-    // arrays (autotuned once per kernel; any W is bit-identical, and a
-    // chunk end just runs a narrower remainder block, so results do
-    // not depend on grain or thread count).
+    // Lane-blocked trial loop: W = 8 trials share one pass over the
+    // flat arrays (any W is bit-identical, and a chunk end just runs a
+    // narrower remainder block, so results do not depend on grain or
+    // thread count).
     const std::size_t blockW = kernel.blockWidth();
     pool.parallelForRange(
         cfg.trials, cfg.grain,

@@ -26,10 +26,6 @@ struct Compiled
     std::shared_ptr<const core::SkewKernel> kernel;
     /** Resilience requests: the full scenario. */
     mc::ResilienceScenario scenario;
-    /** The kernel's autotuned lane width, resolved at compile time so
-     *  the (one-shot) tune never runs inside a timed work unit. A
-     *  cache hit reuses the width tuned at first compile. */
-    std::size_t width = 1;
 };
 
 const mc::McConfig &
@@ -119,7 +115,6 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                          "skew request %zu lacks layout or tree", r);
             compiled[r].isSkew = true;
             compiled[r].kernel = kernels.get(*s->layout, *s->tree);
-            compiled[r].width = compiled[r].kernel->blockWidth();
             compiled[r].ready = true;
         } else {
             const ResilienceRequest &q =
@@ -129,8 +124,6 @@ SweepService::run(const std::vector<SweepRequest> &batch,
             compiled[r].scenario = mc::compileResilienceScenario(
                 *q.layout, q.rows, q.cols, q.kind, q.faultRate, q.rc,
                 kernels.provider());
-            compiled[r].width =
-                compiled[r].scenario.kernel->blockWidth();
             compiled[r].ready = true;
         }
     }
@@ -190,7 +183,8 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                 // unit boundary, so shard/grain choices cannot change
                 // a bit of the output (each lane replays its global
                 // substream regardless of neighbours).
-                const std::size_t blockW = compiled[w.request].width;
+                const std::size_t blockW =
+                    core::SkewKernel::blockWidth();
                 if (compiled[w.request].isSkew) {
                     const SkewRequest &s =
                         std::get<SkewRequest>(batch[w.request]);

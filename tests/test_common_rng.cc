@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -237,6 +239,45 @@ TEST(RngFill, BulkFillPreservesDeriveStream)
         ASSERT_EQ(v, db.next());
         ASSERT_EQ(v, dc.next());
     }
+}
+
+TEST(RngLanes8, LanesReplayScalarUniformAndHandBackState)
+{
+    // 67 rows per lane through the cloned bulk fill (an odd count, so
+    // no hidden unrolling assumption), lo == hi included, then each
+    // lane's Rng must carry on exactly where the scalar stream is.
+    for (const auto &[lo, hi] : {std::pair{0.045, 0.055},
+                                 std::pair{-1e6, 1e6},
+                                 std::pair{5.0, 5.0}}) {
+        std::vector<Rng> lanes, scalar;
+        for (std::uint64_t j = 0; j < vsync::RngLanes8::width; ++j) {
+            lanes.push_back(Rng::forTrial(0x1a7e5, 11 + j));
+            scalar.push_back(Rng::forTrial(0x1a7e5, 11 + j));
+            scalar.back().uniform(); // a scalar draw before the load
+            lanes.back().uniform();
+        }
+        constexpr std::size_t rows = 67;
+        std::vector<double> out(rows * vsync::RngLanes8::width);
+        vsync::RngLanes8 gen(lanes);
+        gen.fillUniform(lo, hi, out);
+        gen.storeTo(lanes);
+        for (std::size_t k = 0; k < rows; ++k)
+            for (std::size_t j = 0; j < vsync::RngLanes8::width; ++j)
+                ASSERT_EQ(out[k * vsync::RngLanes8::width + j],
+                          scalar[j].uniform(lo, hi))
+                    << "row " << k << " lane " << j;
+        for (std::size_t j = 0; j < vsync::RngLanes8::width; ++j) {
+            EXPECT_EQ(lanes[j].draws(), scalar[j].draws()) << j;
+            EXPECT_EQ(lanes[j].draws(), rows + 1) << j;
+            EXPECT_EQ(lanes[j].next(), scalar[j].next()) << j;
+        }
+    }
+}
+
+TEST(RngLanes8, ReportsAKnownClone)
+{
+    const std::string isa = vsync::RngLanes8::isa();
+    EXPECT_TRUE(isa == "x86-64-v4" || isa == "default") << isa;
 }
 
 /** Property sweep: uniform(lo, hi) stays in range for many ranges. */

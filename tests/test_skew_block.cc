@@ -7,12 +7,17 @@
  * sequence draw-for-draw (same Rng::draws() accounting) and produce
  * bitwise-identical results. These tests pin that contract across
  * widths {1, 2, 3, 4, 7, 8, 16} -- odd, even, power-of-two (the
- * stride-padding case) and wider than the autotune range -- on the
- * htree, spine and TRIX-grid scenarios, through remainder blocks
+ * stride-padding case) and wider than blockWidth() -- on the htree,
+ * spine and TRIX-grid scenarios, through remainder blocks
  * (trials % W != 0) and through the blocked SweepService at 1/2/8
- * threads.
+ * threads. Width 8 is the SIMD path; the generic lane loop at the same
+ * width is its oracle, and a bound derived from the paper's summation
+ * model checks both against the physics rather than against each
+ * other.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +25,8 @@
 #include "clocktree/builders.hh"
 #include "common/rng.hh"
 #include "core/skew_kernel.hh"
+#include "desim/simulator.hh"
+#include "fault/trix_grid.hh"
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
 #include "mc/sweeps.hh"
@@ -156,21 +163,184 @@ TEST(SkewBlock, ArrivalSkewBlockMatchesScalarOnTrixSurfaces)
     }
 }
 
-TEST(SkewBlock, BlockWidthIsStableAndInAutotuneRange)
+TEST(SkewBlock, BlockWidthIsFixedAtEight)
 {
+    static_assert(SkewKernel::blockWidth() == 8);
     const layout::Layout l = layout::meshLayout(8, 8);
     const auto tree = clocktree::buildHTreeGrid(l, 8, 8);
     const SkewKernel kernel(l, tree);
-    const std::size_t w = kernel.blockWidth();
-    EXPECT_GE(w, 1u);
-    EXPECT_LE(w, 8u);
-    // One-shot: later calls reuse the cached choice.
-    EXPECT_EQ(kernel.blockWidth(), w);
-
+    EXPECT_EQ(kernel.blockWidth(), 8u);
     const SkewKernel pairsOnly(l);
-    const std::size_t wp = pairsOnly.blockWidth();
-    EXPECT_GE(wp, 1u);
-    EXPECT_LE(wp, 8u);
+    EXPECT_EQ(pairsOnly.blockWidth(), 8u);
+}
+
+constexpr std::size_t kW = SkewKernel::blockWidth();
+constexpr std::size_t kStride = SkewKernel::laneStride(kW);
+
+/** Lanes for trials [first, first + 8) of @p seed. */
+std::vector<Rng>
+lanesAt(std::uint64_t seed, std::uint64_t first)
+{
+    std::vector<Rng> lanes;
+    for (std::size_t j = 0; j < kW; ++j)
+        lanes.push_back(Rng::forTrial(seed, first + j));
+    return lanes;
+}
+
+TEST(SkewBlock, EightLaneSimdMatchesScalarAndGenericLoop)
+{
+    // Trial offsets that are not multiples of 8 (the lanes of a block
+    // are arbitrary substreams), and eps = 0 (lo == hi: every draw is
+    // the same value, but each still consumes its xoshiro step).
+    auto scenarios = treeScenarios();
+    layout::Layout big = layout::meshLayout(16, 16);
+    clocktree::ClockTree bigTree = clocktree::buildHTreeGrid(big, 16, 16);
+    scenarios.emplace_back(std::move(big), std::move(bigTree));
+    for (const auto &[l, tree] : scenarios) {
+        const SkewKernel kernel(l, tree);
+        const std::size_t n = kernel.nodeCount();
+        for (const WireDelay delay : {kDelay, WireDelay{0.05, 0.0}}) {
+            for (const std::uint64_t first : {3u, 13u, 1001u}) {
+                std::vector<Rng> simd = lanesAt(0x51d, first);
+                std::vector<Rng> generic = lanesAt(0x51d, first);
+                std::vector<Time> simdRows(n * kStride, -1.0);
+                std::vector<Time> genericRows(n * kStride, -1.0);
+                kernel.arrivalsBlock(delay, simd, simdRows);
+                kernel.arrivalsBlockGeneric(delay, generic, genericRows);
+                std::vector<Time> simdSkew(kW), genericSkew(kW);
+                kernel.maxCommSkewBlock(simdRows, simdSkew);
+                kernel.maxCommSkewBlockGeneric(genericRows, genericSkew);
+
+                for (std::size_t j = 0; j < kW; ++j) {
+                    Rng scalarRng = Rng::forTrial(0x51d, first + j);
+                    std::vector<Time> scalar(n);
+                    kernel.arrivals(delay, scalarRng, scalar);
+                    for (std::size_t v = 0; v < n; ++v) {
+                        ASSERT_EQ(simdRows[v * kStride + j], scalar[v])
+                            << "first " << first << " lane " << j
+                            << " node " << v;
+                        ASSERT_EQ(genericRows[v * kStride + j], scalar[v])
+                            << "first " << first << " lane " << j
+                            << " node " << v;
+                    }
+                    EXPECT_EQ(simd[j].draws(), scalarRng.draws()) << j;
+                    EXPECT_EQ(generic[j].draws(), scalarRng.draws()) << j;
+                    // The handed-back state continues the stream.
+                    EXPECT_EQ(simd[j].next(), scalarRng.next()) << j;
+                    EXPECT_EQ(simdSkew[j], kernel.maxCommSkew(scalar))
+                        << "first " << first << " lane " << j;
+                    EXPECT_EQ(genericSkew[j], simdSkew[j]) << j;
+                }
+            }
+        }
+    }
+}
+
+TEST(SkewBlock, EightLaneFoldMatchesScalarOnTrixSurfaces)
+{
+    // A TRIX grid's arrivals come from median voting, not from a tree,
+    // so they exercise the fold on surfaces arrivals() never makes.
+    // Each lane is one fault-free grid run with its own link delays;
+    // the cells' arrivals go into the rows of the H-tree nodes that
+    // clock them, and the SIMD fold must match the scalar fold, the
+    // generic loop and the per-cell arrivalSkew() of the same surface.
+    constexpr int side = 6;
+    const layout::Layout l = layout::meshLayout(side, side);
+    const auto tree = clocktree::buildHTreeGrid(l, side, side);
+    const SkewKernel kernel(l, tree);
+    const std::size_t n = kernel.nodeCount();
+    std::vector<Time> rows(n * kStride, 0.0);
+    std::vector<std::vector<Time>> scalar(kW, std::vector<Time>(n, 0.0));
+    std::vector<Time> cellSkew(kW);
+    for (std::size_t j = 0; j < kW; ++j) {
+        Rng rng = Rng::forTrial(0x7e1c, 5 + j);
+        desim::Simulator sim;
+        fault::TrixGrid grid(sim, side, side, [&](int, int, int) {
+            return rng.uniform(kDelay.lo(), kDelay.hi());
+        });
+        grid.pulse();
+        std::vector<Time> cells;
+        grid.cellArrivals(cells);
+        ASSERT_EQ(cells.size(), kernel.cellCount());
+        for (CellId c = 0; static_cast<std::size_t>(c) < cells.size();
+             ++c) {
+            const auto v = static_cast<std::size_t>(kernel.nodeOfCell(c));
+            rows[v * kStride + j] = cells[c];
+            scalar[j][v] = cells[c];
+        }
+        cellSkew[j] = kernel.arrivalSkew(cells).maxCommSkew;
+    }
+    std::vector<Time> simd(kW), generic(kW);
+    kernel.maxCommSkewBlock(rows, simd);
+    kernel.maxCommSkewBlockGeneric(rows, generic);
+    for (std::size_t j = 0; j < kW; ++j) {
+        EXPECT_GT(simd[j], 0.0) << j;
+        EXPECT_EQ(simd[j], kernel.maxCommSkew(scalar[j])) << j;
+        EXPECT_EQ(simd[j], generic[j]) << j;
+        EXPECT_EQ(simd[j], cellSkew[j]) << j;
+    }
+}
+
+TEST(SkewBlock, PairSkewWithinSummationModelBounds)
+{
+    // Section III: every unit of wire has delay m +- eps, so for a
+    // pair (a, b) with d = h_a - h_b and s = treeDistance(a, b) the
+    // shared root path cancels and
+    //     m |d| - eps s  <=  |t_a - t_b|  <=  m |d| + eps s.
+    // The slack is relative to the arrivals themselves, whose rounding
+    // the difference inherits. Random meshes and trees (random
+    // bisection, H-tree, spine), both the SIMD and the generic path.
+    Rng meta(0x0bad5eed);
+    std::size_t checked = 0;
+    for (int round = 0; round < 6; ++round) {
+        const int rows = 2 + static_cast<int>(meta.uniformInt(9));
+        const int cols = 2 + static_cast<int>(meta.uniformInt(9));
+        const layout::Layout l = layout::meshLayout(rows, cols);
+        const double m = 0.05;
+        const double eps = round == 0 ? 0.0 : meta.uniform(0.0, m);
+        const WireDelay delay{m, eps};
+        std::vector<clocktree::ClockTree> trees;
+        trees.push_back(clocktree::buildRandomTree(l, meta));
+        trees.push_back(clocktree::buildHTreeGrid(l, rows, cols));
+        trees.push_back(clocktree::buildSpine(l));
+        for (const clocktree::ClockTree &tree : trees) {
+            const SkewKernel kernel(l, tree);
+            const std::size_t n = kernel.nodeCount();
+            for (const bool simdPath : {true, false}) {
+                std::vector<Rng> lanes = lanesAt(0xf1, 8 * round + 3);
+                std::vector<Time> arr(n * kStride);
+                if (simdPath)
+                    kernel.arrivalsBlock(delay, lanes, arr);
+                else
+                    kernel.arrivalsBlockGeneric(delay, lanes, arr);
+                for (std::size_t i = 0; i < kernel.pairCount(); ++i) {
+                    const NodeId a = kernel.pairNodesA()[i];
+                    const NodeId b = kernel.pairNodesB()[i];
+                    const double d = std::fabs(kernel.rootPathLength(a) -
+                                               kernel.rootPathLength(b));
+                    const double s = kernel.treeDistance(a, b);
+                    const double lo = std::max(0.0, m * d - eps * s);
+                    const double hi = m * d + eps * s;
+                    const double slack =
+                        1e-12 * (m + eps) *
+                        (kernel.rootPathLength(a) + kernel.rootPathLength(b));
+                    for (std::size_t j = 0; j < kW; ++j) {
+                        const double skew = std::fabs(
+                            arr[static_cast<std::size_t>(a) * kStride + j] -
+                            arr[static_cast<std::size_t>(b) * kStride + j]);
+                        ASSERT_GE(skew, lo - slack)
+                            << (simdPath ? "simd" : "generic") << " round "
+                            << round << " pair " << i << " lane " << j;
+                        ASSERT_LE(skew, hi + slack)
+                            << (simdPath ? "simd" : "generic") << " round "
+                            << round << " pair " << i << " lane " << j;
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(SkewBlock, SkewSweepHandlesRemainderTrials)
