@@ -1,6 +1,7 @@
 #include "core/skew_kernel.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -459,6 +460,26 @@ SkewKernel::sampleMaxCommSkewBlock(const WireDelay &delay,
     scratch.resize(nodeCount() * laneStride(lanes.size()));
     arrivalsBlock(delay, lanes, scratch);
     maxCommSkewBlock(scratch, out_skew);
+}
+
+std::uint64_t
+SkewKernel::sampleTrials(const WireDelay &delay, std::uint64_t seed,
+                         std::uint64_t first_trial,
+                         std::span<Time> out) const
+{
+    std::vector<Time> scratch;
+    std::array<Rng, blockWidth()> lanes;
+    std::uint64_t draws = 0;
+    for (std::size_t i = 0; i < out.size(); i += blockWidth()) {
+        const std::size_t w = std::min(blockWidth(), out.size() - i);
+        for (std::size_t j = 0; j < w; ++j)
+            lanes[j] = Rng::forTrial(seed, first_trial + i + j);
+        sampleMaxCommSkewBlock(delay, {lanes.data(), w},
+                               out.subspan(i, w), scratch);
+        for (std::size_t j = 0; j < w; ++j)
+            draws += lanes[j].draws();
+    }
+    return draws;
 }
 
 ArrivalSkew

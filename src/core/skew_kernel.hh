@@ -37,10 +37,11 @@
  * odd count so power-of-two widths cannot alias cache sets. Each lane
  * advances its own Rng in lockstep and replays the scalar draw
  * sequence exactly, so blocked results are BIT-IDENTICAL to the scalar
- * path at every width. The callers drive W = blockWidth() = 8, where
- * arrivalsBlock and maxCommSkewBlock take an 8-wide SIMD path (the
- * RngLanes8 generator fused into the propagation, two row loads per
- * fold pair); other widths run the generic lane loop, which the
+ * path at every width. sampleTrials() runs any trial range at
+ * W = blockWidth() = 8, where arrivalsBlock and maxCommSkewBlock take
+ * an 8-wide SIMD path (the RngLanes8 generator fused into the
+ * propagation, two row loads per fold pair); other widths, such as a
+ * range's remainder block, run the generic lane loop, which the
  * *Generic entry points expose at every width as the oracle.
  * A kernel is immutable after construction and safe to share read-only
  * across threads; the query counters are relaxed atomics.
@@ -261,6 +262,19 @@ class SkewKernel
                                 std::span<Time> out_skew,
                                 std::vector<Time> &scratch) const;
 
+    /**
+     * The trial-range entry point every skew sweep runs on: trials
+     * [first_trial, first_trial + out.size()), trial t drawing from
+     * Rng::forTrial(seed, t), in blockWidth() lane blocks plus one
+     * narrower remainder. out[i] is bitwise the scalar
+     * sampleMaxCommSkew() of trial first_trial + i, whatever range the
+     * caller cuts, so grain, shard and thread choices never move a
+     * bit. Returns the RNG draws the range consumed.
+     */
+    std::uint64_t sampleTrials(const WireDelay &delay, std::uint64_t seed,
+                               std::uint64_t first_trial,
+                               std::span<Time> out) const;
+
     /** Blocked arrivalSkew(): evaluate a lane-major per-cell arrival
      *  matrix (cellCount() * laneStride(out.size()) slots, infinity =
      *  never clocked) into out[j] = lane j's ArrivalSkew. Works on
@@ -344,10 +358,11 @@ class SkewKernel
 
 /**
  * Source of compiled kernels for a scenario: tree == nullptr asks for
- * the pairs-only compile of the layout. The Monte-Carlo and fault
- * sweeps fetch their kernels through a provider so callers can swap
- * the direct compile for serve::ScenarioCache::provider() -- repeated
- * sweeps over the same scenario then pay the compile once.
+ * the pairs-only compile of the layout. mc::compileResilienceScenario
+ * fetches its kernel through a provider: mc::resilienceAtRate passes
+ * directCompile(), serve::SweepService passes
+ * serve::ScenarioCache::provider() so repeated requests over the same
+ * scenario pay the compile once.
  */
 using KernelProvider = std::function<std::shared_ptr<const SkewKernel>(
     const layout::Layout &, const clocktree::ClockTree *)>;

@@ -256,18 +256,6 @@ simulateTreeUnderFaults(const layout::Layout &l,
 }
 
 DistributionOutcome
-simulateTreeUnderFaults(const layout::Layout &l,
-                        const clocktree::ClockTree &tree,
-                        const clocktree::BufferedClockTree &btree,
-                        const desim::ClockNet::DelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels)
-{
-    return simulateTreeUnderFaults(*kernels(l, &tree), btree, delay_of,
-                                   plan);
-}
-
-DistributionOutcome
 simulateGridUnderFaults(const core::SkewKernel &kernel, int rows,
                         int cols, const TrixGrid::LinkDelayFn &delay_of,
                         const FaultPlan &plan)
@@ -285,16 +273,6 @@ simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
                         const FaultPlan &plan)
 {
     return simulateGridUnderFaults(core::SkewKernel(l), rows, cols,
-                                   delay_of, plan);
-}
-
-DistributionOutcome
-simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
-                        const TrixGrid::LinkDelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels)
-{
-    return simulateGridUnderFaults(*kernels(l, nullptr), rows, cols,
                                    delay_of, plan);
 }
 

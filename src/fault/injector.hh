@@ -194,19 +194,6 @@ simulateTreeUnderFaults(const layout::Layout &l,
                         const FaultPlan &plan);
 
 /**
- * As the convenience overload, but the kernel is fetched from
- * @p kernels (pass serve::ScenarioCache::provider() so repeated
- * single-shot drivers over the same scenario reuse one compile).
- */
-DistributionOutcome
-simulateTreeUnderFaults(const layout::Layout &l,
-                        const clocktree::ClockTree &tree,
-                        const clocktree::BufferedClockTree &btree,
-                        const desim::ClockNet::DelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels);
-
-/**
  * Drive one clock pulse through a rows x cols TRIX grid clocking the
  * kernel's cells row-major (cell r * cols + c under node (r, c)) with
  * @p plan armed and measure what arrives. @p kernel may be pairs-only
@@ -224,13 +211,6 @@ DistributionOutcome
 simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
                         const TrixGrid::LinkDelayFn &delay_of,
                         const FaultPlan &plan);
-
-/** As above with the pairs-only kernel fetched from @p kernels. */
-DistributionOutcome
-simulateGridUnderFaults(const layout::Layout &l, int rows, int cols,
-                        const TrixGrid::LinkDelayFn &delay_of,
-                        const FaultPlan &plan,
-                        const core::KernelProvider &kernels);
 
 } // namespace vsync::fault
 

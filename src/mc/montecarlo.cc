@@ -54,59 +54,47 @@ reduceInTrialOrder(McResult &r)
 }
 
 void
-recordSweepMetrics(obs::MetricsRegistry &reg, const std::string &name,
-                   std::size_t trials, double wall_seconds,
-                   std::uint64_t rng_draws)
+runTrialRanges(ThreadPool &pool, const McConfig &cfg,
+               const TrialRangeFn &fn)
 {
-    const std::string base = "mc." + name + ".";
-    reg.counter(base + "trials").inc(trials);
-    reg.counter(base + "rng_draws").inc(rng_draws);
-    reg.gauge(base + "wall_ms").set(wall_seconds * 1e3);
-    reg.gauge(base + "trials_per_s")
-        .set(wall_seconds > 0.0
-                 ? static_cast<double>(trials) / wall_seconds
-                 : 0.0);
+    cfg.validate();
+    std::atomic<std::uint64_t> draws{0};
+    const auto wall0 = std::chrono::steady_clock::now();
+    pool.parallelForRange(cfg.trials, cfg.grain,
+                          [&](std::size_t begin, std::size_t end) {
+                              draws.fetch_add(fn(begin, end),
+                                              std::memory_order_relaxed);
+                          });
+    if (!cfg.metrics)
+        return;
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall0)
+                            .count();
+    const std::string base = "mc." + cfg.metricsName + ".";
+    cfg.metrics->counter(base + "trials").inc(cfg.trials);
+    cfg.metrics->counter(base + "rng_draws")
+        .inc(draws.load(std::memory_order_relaxed));
+    cfg.metrics->gauge(base + "wall_ms").set(wall * 1e3);
+    cfg.metrics->gauge(base + "trials_per_s")
+        .set(wall > 0.0 ? static_cast<double>(cfg.trials) / wall : 0.0);
 }
 
 McResult
 runTrials(ThreadPool &pool, const McConfig &cfg, const TrialFn &fn)
 {
     VSYNC_ASSERT(static_cast<bool>(fn), "null trial function");
-    cfg.validate();
     McResult r;
     r.samples.assign(cfg.trials, 0.0);
-
-    // Observability: RNG consumption is summed with a relaxed atomic
-    // (integer adds commute, so the total is schedule-independent) and
-    // the sweep is wall-clock timed only when a registry is attached.
-    std::atomic<std::uint64_t> draws{0};
-    std::chrono::steady_clock::time_point wall0;
-    if (cfg.metrics)
-        wall0 = std::chrono::steady_clock::now();
-
-    pool.parallelForRange(
-        cfg.trials, cfg.grain,
-        [&](std::size_t begin, std::size_t end) {
-            std::uint64_t chunk_draws = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-                Rng rng = Rng::forTrial(cfg.seed, i);
-                r.samples[i] = fn(i, rng);
-                if (cfg.metrics)
-                    chunk_draws += rng.draws();
-            }
-            if (cfg.metrics)
-                draws.fetch_add(chunk_draws, std::memory_order_relaxed);
-        });
+    runTrialRanges(pool, cfg, [&](std::size_t begin, std::size_t end) {
+        std::uint64_t draws = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            Rng rng = Rng::forTrial(cfg.seed, i);
+            r.samples[i] = fn(i, rng);
+            draws += rng.draws();
+        }
+        return draws;
+    });
     reduceInTrialOrder(r);
-
-    if (cfg.metrics) {
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall0)
-                .count();
-        recordSweepMetrics(*cfg.metrics, cfg.metricsName, cfg.trials,
-                           wall, draws.load(std::memory_order_relaxed));
-    }
     return r;
 }
 

@@ -53,9 +53,8 @@ struct McConfig
     /**
      * Optional metrics registry. When set, the sweep records under
      * "mc.<metricsName>.": trials and rng_draws counters plus wall_ms
-     * and trials_per_s gauges. The per-trial hot path pays one branch;
-     * rng_draws is exact because every distribution funnels through
-     * Rng::next().
+     * and trials_per_s gauges. rng_draws is exact because every
+     * distribution funnels through Rng::next().
      */
     obs::MetricsRegistry *metrics = nullptr;
 
@@ -66,8 +65,8 @@ struct McConfig
      * Fatal on configurations that would silently degenerate: zero
      * trials (empty samples, NaN statistics downstream) or zero grain
      * (divides the schedule into nothing; parallelForRange would spin
-     * forever handing out empty chunks). Called by runTrials and the
-     * custom sweep loops before any work is scheduled.
+     * forever handing out empty chunks). Called by runTrialRanges
+     * before any work is scheduled.
      */
     void validate() const;
 };
@@ -100,14 +99,20 @@ struct McResult
 /** Fold a filled samples vector into @p r.stat (trial order). */
 void reduceInTrialOrder(McResult &r);
 
+/** Trials [begin, end) of a sweep; returns the RNG draws they used. */
+using TrialRangeFn =
+    std::function<std::uint64_t(std::size_t begin, std::size_t end)>;
+
 /**
- * Record one sweep's throughput metrics into @p reg under
- * "mc.<name>.": trials / rng_draws counters, wall_ms / trials_per_s
- * gauges. Shared by runTrials and the custom sweep loops in sweeps.cc.
+ * The chunk driver every sweep runs on: validates @p cfg, then hands
+ * [0, cfg.trials) to @p fn on @p pool as contiguous ranges of at most
+ * cfg.grain trials. When cfg.metrics is set it records the sweep under
+ * "mc.<metricsName>.": trials / rng_draws counters, wall_ms /
+ * trials_per_s gauges. The draw total is an integer sum, so it does
+ * not depend on the schedule.
  */
-void recordSweepMetrics(obs::MetricsRegistry &reg, const std::string &name,
-                        std::size_t trials, double wall_seconds,
-                        std::uint64_t rng_draws);
+void runTrialRanges(ThreadPool &pool, const McConfig &cfg,
+                    const TrialRangeFn &fn);
 
 /** Run cfg.trials trials of @p fn on @p pool. */
 [[nodiscard]] McResult runTrials(ThreadPool &pool, const McConfig &cfg,

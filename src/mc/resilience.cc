@@ -62,27 +62,6 @@ gridDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
     };
 }
 
-/** One faulty-tree trial: build the per-chip DelayFn and simulate. */
-fault::DistributionOutcome
-treeTrial(const core::SkewKernel &kernel,
-          const clocktree::BufferedClockTree &btree,
-          const fault::FaultPlan &plan, const ResilienceConfig &rc,
-          Rng &delay_rng)
-{
-    return fault::simulateTreeUnderFaults(
-        kernel, btree, treeDelayFn(rc, delay_rng), plan);
-}
-
-/** One faulty-grid trial: per-link delays from the same delay model. */
-fault::DistributionOutcome
-gridTrial(const core::SkewKernel &kernel, int rows, int cols,
-          const fault::FaultPlan &plan, const ResilienceConfig &rc,
-          Rng &delay_rng)
-{
-    return fault::simulateGridUnderFaults(
-        kernel, rows, cols, gridDelayFn(rc, delay_rng), plan);
-}
-
 } // namespace
 
 fault::DistributionOutcome
@@ -100,63 +79,70 @@ ResilienceScenario::runTrial(
         for (const fault::Fault &f : plan.faults())
             (*kind_counters)[static_cast<std::size_t>(f.kind)]->inc();
     return kind == DistributionKind::TrixGrid
-               ? gridTrial(*kernel, rows, cols, plan, rc, delay_rng)
-               : treeTrial(*kernel, btree, plan, rc, delay_rng);
+               ? fault::simulateGridUnderFaults(
+                     *kernel, rows, cols, gridDelayFn(rc, delay_rng), plan)
+               : fault::simulateTreeUnderFaults(
+                     *kernel, btree, treeDelayFn(rc, delay_rng), plan);
 }
 
-void
+std::uint64_t
 ResilienceScenario::runTrialBlock(
     std::uint64_t seed, std::uint64_t first_trial, std::size_t count,
     std::span<double> out_skew, std::span<double> out_clocked,
     std::span<double> out_faults,
     const std::array<obs::Counter *, fault::faultKindCount>
         *kind_counters,
-    std::vector<Time> &lane_scratch, fault::TrialNetwork *network) const
+    std::vector<Time> &lane_scratch) const
 {
-    VSYNC_ASSERT(count >= 1 && count <= core::SkewKernel::maxLanes,
-                 "%zu trials per block (1..%zu supported)", count,
-                 core::SkewKernel::maxLanes);
     VSYNC_ASSERT(out_skew.size() == count &&
                      out_clocked.size() == count &&
                      out_faults.size() == count,
-                 "output spans must cover the %zu block trials", count);
-    const std::size_t stride = core::SkewKernel::laneStride(count);
+                 "output spans must cover the %zu range trials", count);
+    constexpr std::size_t blockW = core::SkewKernel::blockWidth();
     const std::size_t cells = kernel->cellCount();
-    lane_scratch.resize(cells * stride);
     // The desim pulses stay per-trial (event-driven simulation has no
     // lanes); only their arrival surfaces are batched, scattered
-    // lane-major and reduced in one blocked pair fold.
-    fault::TrialNetwork local;
-    fault::TrialNetwork &net = network ? *network : local;
+    // lane-major and reduced in one blocked pair fold per block.
+    fault::TrialNetwork network;
     std::vector<Time> arrival;
-    for (std::size_t j = 0; j < count; ++j) {
-        Rng trial_rng = Rng::forTrial(seed, first_trial + j);
-        Rng plan_rng = trial_rng.deriveStream(planSalt);
-        Rng delay_rng = trial_rng.deriveStream(delaySalt);
-        const fault::FaultPlan plan =
-            fault::FaultPlan::generate(universe, rates, plan_rng);
-        if (kind_counters)
-            for (const fault::Fault &f : plan.faults())
-                (*kind_counters)[static_cast<std::size_t>(f.kind)]
-                    ->inc();
-        if (kind == DistributionKind::TrixGrid)
-            net.gridArrivals(*kernel, rows, cols,
-                             gridDelayFn(rc, delay_rng), plan, arrival);
-        else
-            net.treeArrivals(*kernel, btree, treeDelayFn(rc, delay_rng),
-                             plan, arrival);
-        for (std::size_t c = 0; c < cells; ++c)
-            lane_scratch[c * stride + j] = arrival[c];
-        out_faults[j] = static_cast<double>(plan.size());
+    std::array<core::ArrivalSkew, blockW> reduced;
+    std::uint64_t draws = 0;
+    for (std::size_t i = 0; i < count; i += blockW) {
+        const std::size_t w = std::min(blockW, count - i);
+        const std::size_t stride = core::SkewKernel::laneStride(w);
+        lane_scratch.resize(cells * stride);
+        for (std::size_t j = 0; j < w; ++j) {
+            Rng trial_rng = Rng::forTrial(seed, first_trial + i + j);
+            Rng plan_rng = trial_rng.deriveStream(planSalt);
+            Rng delay_rng = trial_rng.deriveStream(delaySalt);
+            const fault::FaultPlan plan =
+                fault::FaultPlan::generate(universe, rates, plan_rng);
+            if (kind_counters)
+                for (const fault::Fault &f : plan.faults())
+                    (*kind_counters)[static_cast<std::size_t>(f.kind)]
+                        ->inc();
+            if (kind == DistributionKind::TrixGrid)
+                network.gridArrivals(*kernel, rows, cols,
+                                     gridDelayFn(rc, delay_rng), plan,
+                                     arrival);
+            else
+                network.treeArrivals(*kernel, btree,
+                                     treeDelayFn(rc, delay_rng), plan,
+                                     arrival);
+            for (std::size_t c = 0; c < cells; ++c)
+                lane_scratch[c * stride + j] = arrival[c];
+            out_faults[i + j] = static_cast<double>(plan.size());
+            draws += plan_rng.draws() + delay_rng.draws();
+        }
+        kernel->arrivalSkewBlock(
+            std::span<const Time>(lane_scratch.data(), cells * stride),
+            std::span<core::ArrivalSkew>(reduced.data(), w));
+        for (std::size_t j = 0; j < w; ++j) {
+            out_skew[i + j] = reduced[j].maxCommSkew;
+            out_clocked[i + j] = reduced[j].clockedFraction;
+        }
     }
-    std::array<core::ArrivalSkew, core::SkewKernel::maxLanes> reduced;
-    kernel->arrivalSkewBlock(
-        std::span<const Time>(lane_scratch.data(), cells * stride),
-        std::span<core::ArrivalSkew>(reduced.data(), count));
-    for (std::size_t j = 0; j < count; ++j) {
-        out_skew[j] = reduced[j].maxCommSkew;
-        out_clocked[j] = reduced[j].clockedFraction;
-    }
+    return draws;
 }
 
 ResilienceScenario
@@ -196,22 +182,11 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
                  DistributionKind kind, double fault_rate,
                  const ResilienceConfig &rc, const McConfig &cfg)
 {
-    return resilienceAtRate(l, rows, cols, kind, fault_rate, rc, cfg,
-                            core::directCompile());
-}
-
-ResiliencePoint
-resilienceAtRate(const layout::Layout &l, int rows, int cols,
-                 DistributionKind kind, double fault_rate,
-                 const ResilienceConfig &rc, const McConfig &cfg,
-                 const core::KernelProvider &kernels)
-{
-    cfg.validate();
     // Shared read-only state, built once before the fan-out: the
     // distribution, its fault universe, and one compiled SkewKernel
     // (pairs-only for the grid, which has no clock tree).
     const ResilienceScenario scenario = compileResilienceScenario(
-        l, rows, cols, kind, fault_rate, rc, kernels);
+        l, rows, cols, kind, fault_rate, rc, core::directCompile());
 
     ResiliencePoint point;
     point.faultRate = fault_rate;
@@ -230,33 +205,23 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
                     fault::faultKindName(static_cast<fault::FaultKind>(k)));
     }
 
-    // Blocked trial loop: runTrialBlock batches blockW arrival
-    // surfaces per pair-fold pass (bit-identical to per-trial
-    // runTrial at any width, grain or thread count).
-    const std::size_t blockW = scenario.kernel->blockWidth();
     ThreadPool pool(cfg.threads);
-    pool.parallelForRange(
-        cfg.trials, cfg.grain,
-        [&](std::size_t begin, std::size_t end) {
-            std::vector<Time> laneScratch; // reused per chunk
-            fault::TrialNetwork network;   // built once per chunk
-            for (std::size_t i = begin; i < end; i += blockW) {
-                const std::size_t w = std::min(blockW, end - i);
-                scenario.runTrialBlock(
-                    cfg.seed, i, w,
-                    {point.maxCommSkew.samples.data() + i, w},
-                    {point.clockedFraction.samples.data() + i, w},
-                    {faults.data() + i, w},
-                    cfg.metrics ? &kindCounters : nullptr,
-                    laneScratch, &network);
-            }
-        });
+    runTrialRanges(pool, cfg, [&](std::size_t begin, std::size_t end) {
+        const std::size_t n = end - begin;
+        std::vector<Time> laneScratch;
+        return scenario.runTrialBlock(
+            cfg.seed, begin, n,
+            {point.maxCommSkew.samples.data() + begin, n},
+            {point.clockedFraction.samples.data() + begin, n},
+            {faults.data() + begin, n},
+            cfg.metrics ? &kindCounters : nullptr, laneScratch);
+    });
     reduceInTrialOrder(point.maxCommSkew);
     reduceInTrialOrder(point.clockedFraction);
     double total = 0.0;
     for (const double f : faults)
         total += f;
-    point.meanFaults = cfg.trials ? total / cfg.trials : 0.0;
+    point.meanFaults = total / static_cast<double>(cfg.trials);
     return point;
 }
 
@@ -285,8 +250,7 @@ hybridSurvivalSweep(const hybrid::HybridNetwork &net, double fault_rate,
     fault::FaultRates rates;
     rates.severedHandshakeWire = fault_rate;
 
-    ThreadPool pool(cfg.threads);
-    return runTrials(pool, cfg, [&](std::uint64_t, Rng &rng) {
+    return runTrials(cfg, [&](std::uint64_t, Rng &rng) {
         Rng plan_rng = rng.deriveStream(planSalt);
         Rng jitter_rng = rng.deriveStream(delaySalt);
         const fault::FaultPlan plan =

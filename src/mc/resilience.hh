@@ -119,32 +119,28 @@ struct ResilienceScenario
                  *kind_counters = nullptr) const;
 
     /**
-     * Trials [first_trial, first_trial + count) in one blocked pass:
-     * each trial's faulty pulse still runs individually (a discrete
-     * event simulation cannot be lane-blocked), but the per-cell
-     * arrival surfaces are scattered into a lane-major matrix and
-     * reduced by a single core::SkewKernel::arrivalSkewBlock call --
-     * trial j's slots are bitwise what runTrial would have produced.
-     * @p count <= core::SkewKernel::maxLanes; callers drive this with
-     * kernel->blockWidth() and a narrower remainder block.
-     * @p lane_scratch is resized once and reusable across calls on the
-     * same thread.
-     *
-     * @param network the circuit the pulses run on, reset per trial
-     *        (see fault::TrialNetwork). Trial loops pass one network
-     *        per work unit or chunk, so the circuit is built once per
-     *        unit rather than once per trial; nullptr builds one for
-     *        this call. Results do not depend on it.
+     * The trial-range entry point every resilience sweep runs on:
+     * trials [first_trial, first_trial + count) for any count, in
+     * core::SkewKernel::blockWidth() lane blocks plus one narrower
+     * remainder. Each trial's faulty pulse still runs individually (a
+     * discrete event simulation cannot be lane-blocked) on one
+     * fault::TrialNetwork built per call and reset per trial, but a
+     * block's per-cell arrival surfaces are scattered into a
+     * lane-major matrix and reduced by a single
+     * core::SkewKernel::arrivalSkewBlock call -- trial j's slots are
+     * bitwise what runTrial would have produced, whatever range the
+     * caller cuts. @p lane_scratch is reusable across calls on the
+     * same thread. Returns the RNG draws the range consumed (plan plus
+     * delay substreams).
      */
-    void runTrialBlock(std::uint64_t seed, std::uint64_t first_trial,
-                       std::size_t count, std::span<double> out_skew,
-                       std::span<double> out_clocked,
-                       std::span<double> out_faults,
-                       const std::array<obs::Counter *,
-                                        fault::faultKindCount>
-                           *kind_counters,
-                       std::vector<Time> &lane_scratch,
-                       fault::TrialNetwork *network = nullptr) const;
+    std::uint64_t
+    runTrialBlock(std::uint64_t seed, std::uint64_t first_trial,
+                  std::size_t count, std::span<double> out_skew,
+                  std::span<double> out_clocked,
+                  std::span<double> out_faults,
+                  const std::array<obs::Counter *, fault::faultKindCount>
+                      *kind_counters,
+                  std::vector<Time> &lane_scratch) const;
 };
 
 /**
@@ -164,25 +160,16 @@ compileResilienceScenario(const layout::Layout &l, int rows, int cols,
  * layout @p l (cells row-major). Each trial arms
  * fault::FaultRates::mixed(fault_rate) on the distribution and drives
  * one clock pulse; trial i draws its plan and its wire delays from
- * disjoint substreams of Rng::forTrial(cfg.seed, i).
+ * disjoint substreams of Rng::forTrial(cfg.seed, i). Each chunk of
+ * trials is one ResilienceScenario::runTrialBlock call. When
+ * cfg.metrics is set, the sweep metrics of McConfig::metrics are
+ * recorded next to the "mc.resilience.faults.<kind>" counters.
  */
 ResiliencePoint resilienceAtRate(const layout::Layout &l, int rows,
                                  int cols, DistributionKind kind,
                                  double fault_rate,
                                  const ResilienceConfig &rc,
                                  const McConfig &cfg);
-
-/**
- * As above with the kernel fetched from @p kernels (pass
- * serve::ScenarioCache::provider() to amortise the compile across
- * sweeps). Bit-identical to the direct-compile overload.
- */
-ResiliencePoint resilienceAtRate(const layout::Layout &l, int rows,
-                                 int cols, DistributionKind kind,
-                                 double fault_rate,
-                                 const ResilienceConfig &rc,
-                                 const McConfig &cfg,
-                                 const core::KernelProvider &kernels);
 
 /**
  * The graceful-degradation curve: resilienceAtRate at every rate of

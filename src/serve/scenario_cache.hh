@@ -100,10 +100,9 @@ class ScenarioCache
     std::shared_ptr<const core::SkewKernel> get(const layout::Layout &l);
 
     /**
-     * This cache as a core::KernelProvider, pluggable into the
-     * provider overloads of mc::skewSweep, mc::resilienceAtRate and
-     * the fault drivers. The provider borrows the cache; keep the
-     * cache alive while the provider is in use.
+     * This cache as a core::KernelProvider, pluggable into
+     * mc::compileResilienceScenario. The provider borrows the cache;
+     * keep the cache alive while the provider is in use.
      */
     core::KernelProvider provider();
 

@@ -165,8 +165,6 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     pool.parallelForRange(
         units.size(), 1,
         [&](std::size_t ub, std::size_t ue) {
-            std::vector<Time> arrival; // lane scratch, reused per unit
-            std::vector<Rng> lanes;
             for (std::size_t u = ub; u < ue; ++u) {
                 if (externallyCancelled())
                     stopToken.cancel();
@@ -179,56 +177,31 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                 const WorkUnit &w = units[u];
                 const mc::McConfig &mcc = configOf(batch[w.request]);
                 RequestOutcome &o = out.outcomes[w.request];
-                // Lane-blocked trial loops: blocks restart at every
-                // unit boundary, so shard/grain choices cannot change
-                // a bit of the output (each lane replays its global
-                // substream regardless of neighbours).
-                const std::size_t blockW =
-                    core::SkewKernel::blockWidth();
+                // One range call per unit. The substream index is
+                // global: a shard of a sharded parent request
+                // (trialOffset != 0) draws the same streams the parent
+                // would, so shard/grain choices cannot change a bit.
+                const std::size_t n = w.end - w.begin;
                 if (compiled[w.request].isSkew) {
                     const SkewRequest &s =
                         std::get<SkewRequest>(batch[w.request]);
-                    const core::SkewKernel &kernel =
-                        *compiled[w.request].kernel;
-                    for (std::size_t i = w.begin; i < w.end;
-                         i += blockW) {
-                        const std::size_t bw =
-                            std::min(blockW, w.end - i);
-                        // The substream index is global: a shard of a
-                        // sharded parent request (trialOffset != 0)
-                        // draws the same streams the parent would.
-                        lanes.clear();
-                        for (std::size_t j = 0; j < bw; ++j)
-                            lanes.push_back(Rng::forTrial(
-                                mcc.seed, s.trialOffset + i + j));
-                        kernel.sampleMaxCommSkewBlock(
-                            s.delay, {lanes.data(), bw},
-                            {o.skew.samples.data() + i, bw}, arrival);
-                    }
+                    compiled[w.request].kernel->sampleTrials(
+                        s.delay, mcc.seed, s.trialOffset + w.begin,
+                        {o.skew.samples.data() + w.begin, n});
                 } else {
                     const ResilienceRequest &q =
                         std::get<ResilienceRequest>(batch[w.request]);
-                    const mc::ResilienceScenario &sc =
-                        compiled[w.request].scenario;
-                    // One circuit per unit, reset per trial; it dies
-                    // with the unit, so nothing is held between runs.
-                    fault::TrialNetwork network;
-                    for (std::size_t i = w.begin; i < w.end;
-                         i += blockW) {
-                        const std::size_t bw =
-                            std::min(blockW, w.end - i);
-                        sc.runTrialBlock(
-                            mcc.seed, q.trialOffset + i, bw,
-                            {o.resilience.maxCommSkew.samples.data() +
-                                 i,
-                             bw},
-                            {o.resilience.clockedFraction.samples
-                                     .data() +
-                                 i,
-                             bw},
-                            {o.faultSamples.data() + i, bw}, nullptr,
-                            arrival, &network);
-                    }
+                    std::vector<Time> laneScratch;
+                    compiled[w.request].scenario.runTrialBlock(
+                        mcc.seed, q.trialOffset + w.begin, n,
+                        {o.resilience.maxCommSkew.samples.data() +
+                             w.begin,
+                         n},
+                        {o.resilience.clockedFraction.samples.data() +
+                             w.begin,
+                         n},
+                        {o.faultSamples.data() + w.begin, n}, nullptr,
+                        laneScratch);
                 }
                 unitDone[u] = 1;
             }

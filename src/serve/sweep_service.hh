@@ -11,10 +11,11 @@
  * does. Kernels are fetched through the cache: repeated scenarios
  * across requests or batches compile once.
  *
- * Determinism: a request's trials are computed exactly as the
- * corresponding mc:: entry point computes them -- same Rng::forTrial
- * streams, same per-trial code, reduction in trial order -- so a
- * Complete outcome is bit-identical to mc::skewSweep /
+ * Determinism: each work unit is one call of the range entry point
+ * the corresponding mc:: sweep calls per chunk
+ * (core::SkewKernel::sampleTrials or
+ * mc::ResilienceScenario::runTrialBlock) and samples reduce in trial
+ * order, so a Complete outcome is bit-identical to mc::skewSweep /
  * mc::resilienceAtRate at any pool width.
  *
  * Cancellation and deadlines are cooperative with work-unit

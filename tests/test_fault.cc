@@ -461,13 +461,13 @@ TEST(TrialNetwork, ResetStructuresMatchFreshOnesThroughTheirOwnApi)
     }
 }
 
-TEST(Resilience, RunTrialBlockOnAReusedNetworkMatchesRunTrial)
+TEST(Resilience, RunTrialBlockOverAnyRangeMatchesRunTrial)
 {
-    // Blocks of every width on one network shared across the tree,
-    // spine and grid scenarios equal the per-trial fresh-circuit path.
+    // Ranges of every length, including ones above maxLanes that run
+    // as several lane blocks on the call's one network, equal the
+    // per-trial fresh-circuit path on the tree, spine and grid.
     const layout::Layout l = layout::meshLayout(6, 6);
     const mc::ResilienceConfig rc;
-    TrialNetwork network;
     std::vector<Time> laneScratch;
     for (const auto kind :
          {mc::DistributionKind::HTree, mc::DistributionKind::TrixGrid,
@@ -476,11 +476,12 @@ TEST(Resilience, RunTrialBlockOnAReusedNetworkMatchesRunTrial)
             mc::compileResilienceScenario(l, 6, 6, kind, 0.1, rc,
                                           core::directCompile());
         std::uint64_t first = 3;
-        for (const std::size_t w : {std::size_t{1}, std::size_t{5},
-                                    std::size_t{8}, std::size_t{2}}) {
+        for (const std::size_t w :
+             {std::size_t{1}, std::size_t{5}, std::size_t{8},
+              std::size_t{2}, std::size_t{13}, std::size_t{37}}) {
             std::vector<double> skew(w), clocked(w), faults(w);
             scenario.runTrialBlock(0x99, first, w, skew, clocked, faults,
-                                   nullptr, laneScratch, &network);
+                                   nullptr, laneScratch);
             for (std::size_t j = 0; j < w; ++j) {
                 const DistributionOutcome ref =
                     scenario.runTrial(0x99, first + j);

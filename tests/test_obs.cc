@@ -619,6 +619,23 @@ TEST(McMetrics, ResilienceSweepCountsFaultsByKind)
     EXPECT_DOUBLE_EQ(static_cast<double>(by_kind),
                      point.meanFaults * static_cast<double>(cfg.trials));
     EXPECT_GT(by_kind, 0u);
+
+    // The sweep metrics of McConfig::metrics, with a draw count (plan
+    // plus delay substreams) that does not depend on the schedule.
+    EXPECT_EQ(reg.counter("mc.sweep.trials").value(), cfg.trials);
+    const std::uint64_t draws = reg.counter("mc.sweep.rng_draws").value();
+    EXPECT_GT(draws, 0u);
+    for (const unsigned threads : {1u, 4u}) {
+        obs::MetricsRegistry again;
+        mc::McConfig other = cfg;
+        other.threads = threads;
+        other.metrics = &again;
+        (void)mc::resilienceAtRate(l, 4, 4,
+                                   mc::DistributionKind::TrixGrid, 0.2,
+                                   mc::ResilienceConfig{}, other);
+        EXPECT_EQ(again.counter("mc.sweep.rng_draws").value(), draws)
+            << threads << " threads";
+    }
 }
 
 TEST(McMetrics, InjectorCountsArmedFaultsByKind)

@@ -126,44 +126,6 @@ TEST(ScenarioCache, ConcurrentGetCompilesExactlyOnce)
     EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(threads - 1));
 }
 
-TEST(ScenarioCache, ProviderFeedsSweepsBitIdentically)
-{
-    // The cached provider must change nothing about the numbers, at
-    // any thread count, for both sweep families.
-    const layout::Layout l = layout::meshLayout(6, 6);
-    const auto tree = clocktree::buildHTreeGrid(l, 6, 6);
-    serve::ScenarioCache cache;
-    const core::KernelProvider cached = cache.provider();
-
-    for (const unsigned tc : kThreadCounts) {
-        mc::McConfig cfg;
-        cfg.seed = 0xfeed;
-        cfg.trials = 48;
-        cfg.threads = tc;
-        cfg.grain = 4;
-        const mc::McResult direct = mc::skewSweep(l, tree, kDelay, cfg);
-        const mc::McResult viaCache =
-            mc::skewSweep(l, tree, kDelay, cfg, cached);
-        EXPECT_TRUE(viaCache.bitIdentical(direct)) << tc;
-
-        mc::ResilienceConfig rc;
-        const mc::ResiliencePoint pd = mc::resilienceAtRate(
-            l, 6, 6, mc::DistributionKind::HTree, 0.02, rc, cfg);
-        const mc::ResiliencePoint pc = mc::resilienceAtRate(
-            l, 6, 6, mc::DistributionKind::HTree, 0.02, rc, cfg,
-            cached);
-        EXPECT_TRUE(
-            pc.maxCommSkew.bitIdentical(pd.maxCommSkew)) << tc;
-        EXPECT_TRUE(pc.clockedFraction.bitIdentical(pd.clockedFraction))
-            << tc;
-        EXPECT_EQ(pc.meanFaults, pd.meanFaults) << tc;
-    }
-    // One tree kernel for the skew sweeps, one more for the resilience
-    // tree (same scenario -> shared), never recompiled across rounds.
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_GE(cache.hits(), 5u);
-}
-
 TEST(SweepService, SkewBatchMatchesMcSweepAtAllThreadCounts)
 {
     const layout::Layout l = layout::meshLayout(6, 6);

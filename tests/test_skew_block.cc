@@ -126,6 +126,33 @@ TEST(SkewBlock, SampleMaxCommSkewBlockMatchesScalarAtEveryWidth)
     }
 }
 
+TEST(SkewBlock, SampleTrialsMatchesScalarOverAnyRange)
+{
+    // Ranges shorter than, equal to and longer than one lane block,
+    // starting off trial 0: every slot is the scalar trial of its
+    // global index, and the draw count is the scalar lanes' sum.
+    constexpr std::uint64_t seed = 0x7a11;
+    constexpr std::uint64_t first = 3;
+    for (const auto &[l, tree] : treeScenarios()) {
+        const SkewKernel kernel(l, tree);
+        std::vector<Time> scalar_scratch;
+        for (const std::size_t n : {1, 7, 8, 9, 37}) {
+            std::vector<Time> skew(n, -1.0);
+            const std::uint64_t draws = kernel.sampleTrials(
+                kDelay, seed, first, std::span<Time>(skew));
+            std::uint64_t scalar_draws = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                Rng scalar_rng = Rng::forTrial(seed, first + i);
+                EXPECT_EQ(skew[i], kernel.sampleMaxCommSkew(
+                                       kDelay, scalar_rng, scalar_scratch))
+                    << "count " << n << " slot " << i;
+                scalar_draws += scalar_rng.draws();
+            }
+            EXPECT_EQ(draws, scalar_draws) << "count " << n;
+        }
+    }
+}
+
 TEST(SkewBlock, ArrivalSkewBlockMatchesScalarOnTrixSurfaces)
 {
     // Pairs-only kernel, as the TRIX-grid drivers compile it; random
