@@ -10,11 +10,10 @@
  *
  * Lines below the active level (setLogLevel / the VSYNC_LOG_LEVEL
  * environment variable: debug, info, warn, error or 0-3) are dropped.
- * An installed log sink (setLogSink; see obs::attachLogSink for the
- * observability adapter) receives the surviving lines instead of
- * stderr, which is how tests assert on log output. panic/fatal always
- * print to stderr -- the process is about to die -- and are forwarded
- * to the sink as well.
+ * An installed log sink (setLogSink) receives the surviving lines
+ * instead of stderr, which is how tests assert on log output.
+ * panic/fatal always print to stderr -- the process is about to die --
+ * and are forwarded to the sink as well.
  */
 
 #ifndef VSYNC_COMMON_LOGGING_HH

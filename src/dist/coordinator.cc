@@ -48,8 +48,6 @@ struct ShardInfo
     unsigned ownerWorker = 0;
     /** When the oldest outstanding attempt was sent (hedge age). */
     Clock::time_point firstSent{};
-    /** The winning reply (state Won). */
-    net::WireResponse result;
 };
 
 } // namespace
@@ -65,6 +63,8 @@ struct Coordinator::RunState
     std::condition_variable cv;
 
     std::vector<ShardInfo> shards;
+    /** One per request; a winning reply's samples land in its slots. */
+    std::vector<serve::RequestOutcome> outcomes;
     /** Indices of Pending shards, dispatch order. */
     std::deque<std::size_t> pending;
     /** Shards not yet Won or Lost. */
@@ -126,10 +126,23 @@ replyShapeOk(const net::WireResponse &rsp, const net::WireRequest &parent,
     return true;
 }
 
-double
-secondsUntil(Clock::time_point tp)
+/** Copy a winning reply's samples into the outcome slots of its
+ *  shard's trial window. */
+void
+scatterReply(const net::WireResponse &rsp, const net::WireRequest &parent,
+             const serve::WorkUnit &u, serve::RequestOutcome &o)
 {
-    return std::chrono::duration<double>(tp - Clock::now()).count();
+    const auto into = [&](const std::vector<double> &from,
+                          std::vector<double> &to) {
+        std::copy(from.begin(), from.end(), to.begin() + u.begin);
+    };
+    if (parent.kind == net::QueryKind::Skew) {
+        into(rsp.samples, o.skew.samples);
+        return;
+    }
+    into(rsp.samples, o.resilience.maxCommSkew.samples);
+    into(rsp.clockedSamples, o.resilience.clockedFraction.samples);
+    into(rsp.faultSamples, o.faultSamples);
 }
 
 } // namespace
@@ -148,8 +161,6 @@ Coordinator::Coordinator(DistConfig config)
                  "DistConfig needs at least one worker");
     VSYNC_ASSERT(cfg.maxInFlightPerWorker >= 1,
                  "maxInFlightPerWorker must be >= 1");
-    VSYNC_ASSERT(cfg.maxShardAttempts >= 1,
-                 "maxShardAttempts must be >= 1");
     VSYNC_ASSERT(cfg.shardDeadlineSeconds > 0.0,
                  "shardDeadlineSeconds must be > 0");
     VSYNC_ASSERT(cfg.hedgeAfterSeconds >= 0.0,
@@ -204,7 +215,7 @@ Coordinator::sessionLoop(unsigned w, RunState &st)
             return;
         if (!permanent && s.inFlight > 0)
             return; // a hedge twin is still trying
-        if (permanent || s.attempts >= cfg.maxShardAttempts ||
+        if (permanent || s.attempts >= maxShardAttempts ||
             st.stop) {
             s.state = ShardState::Lost;
             ++st.ledger.lost;
@@ -254,7 +265,7 @@ Coordinator::sessionLoop(unsigned w, RunState &st)
                 const ShardInfo &s = st.shards[i];
                 if (s.state != ShardState::InFlight || s.inFlight != 1 ||
                     s.ownerWorker == w ||
-                    s.attempts >= cfg.maxShardAttempts)
+                    s.attempts >= maxShardAttempts)
                     continue;
                 const double age =
                     std::chrono::duration<double>(now - s.firstSent)
@@ -330,8 +341,7 @@ Coordinator::sessionLoop(unsigned w, RunState &st)
         }
 
         net::WireResponse rsp;
-        const WorkerPool::RecvStatus got =
-            pool.recv(w, secondsUntil(waitUntil), rsp);
+        const WorkerPool::RecvStatus got = pool.recv(w, waitUntil, rsp);
 
         if (got == WorkerPool::RecvStatus::Closed) {
             const bool stopped = [&] {
@@ -392,7 +402,8 @@ Coordinator::sessionLoop(unsigned w, RunState &st)
                     ++st.ledger.superseded;
                 } else {
                     s.state = ShardState::Won;
-                    s.result = std::move(rsp);
+                    scatterReply(rsp, parent, s.unit,
+                                 st.outcomes[s.unit.request]);
                     ++st.ledger.completed;
                     --st.unresolved;
                     st.cv.notify_all();
@@ -455,20 +466,22 @@ Coordinator::run(const std::vector<net::WireRequest> &batch,
 
     RunState st;
     st.batch = &batch;
+    st.outcomes.resize(batch.size());
+    std::vector<serve::WorkUnit> units;
+    std::vector<std::uint8_t> isSkew(batch.size());
     for (std::size_t r = 0; r < batch.size(); ++r) {
         const net::WireRequest &rq = batch[r];
         VSYNC_ASSERT(rq.kind != net::QueryKind::Info,
                      "request %zu: info is not a sweep", r);
         VSYNC_ASSERT(rq.trials >= 1, "request %zu: zero trials", r);
         VSYNC_ASSERT(rq.grain >= 1, "request %zu: zero grain", r);
-        std::vector<serve::WorkUnit> units;
+        isSkew[r] = rq.kind == net::QueryKind::Skew;
+        serve::allocateOutcome(isSkew[r], rq.trials, rq.faultRate,
+                               st.outcomes[r]);
         serve::appendWorkUnits(r, rq.trials, rq.grain, units);
-        for (const serve::WorkUnit &u : units) {
-            ShardInfo si;
-            si.unit = u;
-            st.shards.push_back(std::move(si));
-        }
     }
+    for (const serve::WorkUnit &u : units)
+        st.shards.push_back(ShardInfo{u});
     st.unresolved = st.shards.size();
     st.ledger.shards = st.shards.size();
     for (std::size_t i = 0; i < st.shards.size(); ++i)
@@ -504,58 +517,25 @@ Coordinator::run(const std::vector<net::WireRequest> &batch,
     for (std::thread &t : threads)
         t.join();
 
-    DistOutcome out;
-    out.outcomes.resize(batch.size());
-
     // Final sweep: anything not Won is Lost (attempts were already
     // failed by the sessions that owned them).
-    for (ShardInfo &s : st.shards) {
+    std::vector<std::uint8_t> won(st.shards.size());
+    for (std::size_t i = 0; i < st.shards.size(); ++i) {
+        ShardInfo &s = st.shards[i];
         if (s.state == ShardState::Pending ||
             s.state == ShardState::InFlight) {
             s.state = ShardState::Lost;
             ++st.ledger.lost;
             --st.unresolved;
         }
+        won[i] = s.state == ShardState::Won;
     }
 
-    // Fold: identical preallocation and reduction to SweepService's
-    // phase 2/4, with remotely computed samples in the slots.
-    std::vector<std::uint8_t> trialDone;
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-        const net::WireRequest &rq = batch[r];
-        const bool isSkew = rq.kind == net::QueryKind::Skew;
-        serve::RequestOutcome &o = out.outcomes[r];
-        o.trialsRequested = rq.trials;
-        if (isSkew) {
-            o.skew.samples.assign(rq.trials, 0.0);
-        } else {
-            o.resilience.faultRate = rq.faultRate;
-            o.resilience.maxCommSkew.samples.assign(rq.trials, 0.0);
-            o.resilience.clockedFraction.samples.assign(rq.trials, 0.0);
-            o.faultSamples.assign(rq.trials, 0.0);
-        }
-        trialDone.assign(rq.trials, 0);
-        for (const ShardInfo &s : st.shards) {
-            if (s.unit.request != r || s.state != ShardState::Won)
-                continue;
-            const std::size_t len = s.unit.end - s.unit.begin;
-            for (std::size_t i = 0; i < len; ++i) {
-                const std::size_t slot = s.unit.begin + i;
-                if (isSkew) {
-                    o.skew.samples[slot] = s.result.samples[i];
-                } else {
-                    o.resilience.maxCommSkew.samples[slot] =
-                        s.result.samples[i];
-                    o.resilience.clockedFraction.samples[slot] =
-                        s.result.clockedSamples[i];
-                    o.faultSamples[slot] = s.result.faultSamples[i];
-                }
-                trialDone[slot] = 1;
-            }
-        }
-        serve::foldOutcomeInTrialOrder(isSkew, trialDone, o);
-    }
-
+    // Fold: the same reduction as SweepService's, over remotely
+    // computed samples.
+    DistOutcome out;
+    serve::foldDoneUnits(units, won, isSkew, st.outcomes);
+    out.outcomes = std::move(st.outcomes);
     out.deadlineExpired = st.deadlineHit;
     out.ledger = st.ledger;
     out.wallMs =

@@ -11,11 +11,11 @@
  * trial. Workers draw from Rng::forTrial(seed, trial_offset + i), so a
  * shard computes exactly the bytes the parent request's slice would;
  * the returned per-trial samples land in their global slots and reduce
- * through serve::foldOutcomeInTrialOrder. Determinism therefore does
- * not depend on which worker ran a shard, the order replies arrived,
- * how often a shard was retried or hedged, or how the fleet was sized:
- * a distributed run is bit-identical to a local SweepService run by
- * construction.
+ * through serve::foldDoneUnits, the local service's own fold.
+ * Determinism therefore does not depend on which worker ran a shard,
+ * the order replies arrived, how often a shard was retried or hedged,
+ * or how the fleet was sized: a distributed run is bit-identical to a
+ * local SweepService run by construction.
  *
  * Failure model. Every dispatch is an *attempt*; a shard survives its
  * attempts. Transient failures (connection loss, response timeout,
@@ -59,6 +59,10 @@
 namespace vsync::dist
 {
 
+/** Dispatches per shard (first try + retries + hedges) before the
+ *  shard is Lost. */
+inline constexpr unsigned maxShardAttempts = 5;
+
 /** Coordinator knobs. */
 struct DistConfig
 {
@@ -73,14 +77,11 @@ struct DistConfig
      * silently dead worker takes.
      */
     double shardDeadlineSeconds = 60.0;
-    /** Dispatches per shard (first try + retries + hedges) before the
-     *  shard is Lost. */
-    unsigned maxShardAttempts = 5;
     /** Duplicate slow shards onto idle workers. */
     bool hedge = true;
     /** Outstanding age before a shard is eligible for hedging. */
     double hedgeAfterSeconds = 0.25;
-    /** Fleet health knobs (backoff, failure budget, ping timeout). */
+    /** Fleet health knobs (backoff, failure budget, jitter seed). */
     WorkerPoolConfig pool;
     /**
      * Optional registry: shard accounting under "dist.shards.*",

@@ -1,21 +1,14 @@
 #include "dist/worker_pool.hh"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "net/conn.hh"
 #include "obs/metrics.hh"
 
 namespace vsync::dist
@@ -25,42 +18,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-int
-connectTo(const std::string &host, std::uint16_t port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return fd;
-}
-
-bool
-sendAll(int fd, const char *data, std::size_t len)
-{
-    while (len > 0) {
-        const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /** Latency bucket bounds for dist.worker.<i>.latency_ms. */
 std::vector<double>
@@ -88,9 +45,9 @@ workerStateName(WorkerState s)
 struct WorkerPool::Worker
 {
     WorkerEndpoint ep;
-    int fd = -1;
-    /** Recreated on every connect so stale bytes never leak over. */
-    net::LineReader reader{net::defaultMaxLineBytes};
+    /** Reconnected with a fresh reader, so stale bytes never leak
+     *  over from a failed session. */
+    net::LineConn conn;
     Backoff backoff;
     unsigned consecutiveFailures = 0;
     std::atomic<WorkerState> state{WorkerState::Disconnected};
@@ -116,7 +73,6 @@ WorkerPool::WorkerPool(std::vector<WorkerEndpoint> endpoints,
         // Each worker jitters on its own counter-based substream, so
         // backoff schedules are decorrelated yet fully reproducible.
         wk.backoff = Backoff(cfg.backoff, Rng::forTrial(cfg.seed, w));
-        wk.reader = net::LineReader(cfg.maxResponseLineBytes);
         if (cfg.metrics) {
             wk.latency = &cfg.metrics->histogram(
                 "dist.worker." + std::to_string(w) + ".latency_ms",
@@ -133,8 +89,6 @@ WorkerPool::WorkerPool(std::vector<WorkerEndpoint> endpoints,
 WorkerPool::~WorkerPool()
 {
     requestStop();
-    for (Worker &wk : workers)
-        closeWorker(wk);
     if (wakePipe[0] >= 0)
         ::close(wakePipe[0]);
     if (wakePipe[1] >= 0)
@@ -169,15 +123,6 @@ WorkerPool::lastInfo(unsigned w) const
 }
 
 void
-WorkerPool::closeWorker(Worker &wk)
-{
-    if (wk.fd >= 0) {
-        ::close(wk.fd);
-        wk.fd = -1;
-    }
-}
-
-void
 WorkerPool::markDead(Worker &wk)
 {
     if (wk.state.exchange(WorkerState::Dead,
@@ -188,7 +133,7 @@ WorkerPool::markDead(Worker &wk)
             cfg.metrics->gauge("dist.fleet.alive")
                 .set(static_cast<double>(aliveCount()));
     }
-    closeWorker(wk);
+    wk.conn.close();
 }
 
 bool
@@ -227,29 +172,19 @@ bool
 WorkerPool::connectOnce(unsigned w)
 {
     Worker &wk = workers[w];
-    closeWorker(wk);
-    wk.reader = net::LineReader(cfg.maxResponseLineBytes);
-    wk.fd = connectTo(wk.ep.host, wk.ep.port);
-    if (wk.fd < 0)
+    if (!wk.conn.connect(wk.ep.host, wk.ep.port,
+                         net::maxResponseLineBytes))
         return false;
 
     // Info handshake: the connection only counts once the worker
     // proves it answers, and the reply pins the protocol version.
-    std::string line = net::encodeRequest(
-        [] {
-            net::WireRequest rq;
-            rq.kind = net::QueryKind::Info;
-            return rq;
-        }());
-    line.push_back('\n');
-    if (!sendAll(wk.fd, line.data(), line.size())) {
-        closeWorker(wk);
-        return false;
-    }
+    net::WireRequest ping;
+    ping.kind = net::QueryKind::Info;
     net::WireResponse rsp;
-    if (recv(w, cfg.pingTimeoutSeconds, rsp) != RecvStatus::Ok ||
+    if (!wk.conn.sendLine(net::encodeRequest(ping)) ||
+        recv(w, Clock::now() + pingTimeout, rsp) != RecvStatus::Ok ||
         !rsp.ok) {
-        closeWorker(wk);
+        wk.conn.close();
         return false;
     }
     if (rsp.proto != net::protocolVersion) {
@@ -257,7 +192,7 @@ WorkerPool::connectOnce(unsigned w)
              wk.ep.host.c_str(), unsigned(wk.ep.port),
              static_cast<unsigned long long>(rsp.proto),
              static_cast<unsigned long long>(net::protocolVersion));
-        closeWorker(wk);
+        wk.conn.close();
         return false;
     }
     wk.info.proto = rsp.proto;
@@ -278,7 +213,7 @@ WorkerPool::ensureConnected(unsigned w)
             wk.state.load(std::memory_order_relaxed) ==
                 WorkerState::Dead)
             return false;
-        if (wk.fd >= 0)
+        if (wk.conn.isOpen())
             return true;
         if (connectOnce(w)) {
             wk.state.store(WorkerState::Alive,
@@ -304,7 +239,7 @@ WorkerPool::noteSessionFailure(unsigned w)
 {
     VSYNC_ASSERT(w < workers.size(), "worker index out of range");
     Worker &wk = workers[w];
-    closeWorker(wk);
+    wk.conn.close();
     wk.state.store(WorkerState::Disconnected,
                    std::memory_order_relaxed);
     if (++wk.consecutiveFailures >= cfg.failureBudget) {
@@ -337,79 +272,35 @@ bool
 WorkerPool::send(unsigned w, const std::string &line)
 {
     VSYNC_ASSERT(w < workers.size(), "worker index out of range");
-    Worker &wk = workers[w];
-    if (wk.fd < 0)
-        return false;
-    std::string framed = line;
-    framed.push_back('\n');
-    return sendAll(wk.fd, framed.data(), framed.size());
+    return workers[w].conn.sendLine(line);
 }
 
 WorkerPool::RecvStatus
-WorkerPool::recv(unsigned w, double timeout_seconds,
+WorkerPool::recv(unsigned w, Clock::time_point deadline,
                  net::WireResponse &out)
 {
     VSYNC_ASSERT(w < workers.size(), "worker index out of range");
     Worker &wk = workers[w];
-    if (wk.fd < 0)
-        return RecvStatus::Closed;
-
-    const Clock::time_point deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(
-                               std::max(0.0, timeout_seconds)));
-    char chunk[1 << 16];
     std::string line;
-    for (;;) {
-        // Drain already-buffered lines before touching the socket.
-        for (;;) {
-            const net::LineReader::Next ev = wk.reader.next(line);
-            if (ev == net::LineReader::Next::NeedMore)
-                break;
-            if (ev == net::LineReader::Next::TooLarge) {
-                warn("dist: worker %s:%u sent an oversized line",
-                     wk.ep.host.c_str(), unsigned(wk.ep.port));
-                return RecvStatus::Closed;
-            }
-            std::string error;
-            if (!net::parseResponse(line, out, error)) {
-                warn("dist: worker %s:%u sent a bad response: %s",
-                     wk.ep.host.c_str(), unsigned(wk.ep.port),
-                     error.c_str());
-                return RecvStatus::Closed;
-            }
-            return RecvStatus::Ok;
-        }
-
-        if (stopping.load(std::memory_order_relaxed))
-            return RecvStatus::Closed;
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - Clock::now())
-                .count();
-        if (remaining <= 0)
-            return RecvStatus::Timeout;
-        pollfd pfds[2] = {{wk.fd, POLLIN, 0},
-                          {wakePipe[0], POLLIN, 0}};
-        const int pr = ::poll(
-            pfds, 2,
-            static_cast<int>(std::min<long long>(remaining, 60'000)));
-        if (pr < 0) {
-            if (errno == EINTR)
-                continue;
-            return RecvStatus::Closed;
-        }
-        if (pfds[1].revents & POLLIN)
-            return RecvStatus::Closed; // stop requested
-        if (pr == 0 || !(pfds[0].revents & (POLLIN | POLLHUP)))
-            continue;
-        const ssize_t n = ::recv(wk.fd, chunk, sizeof(chunk), 0);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return RecvStatus::Closed;
-        wk.reader.feed(chunk, static_cast<std::size_t>(n));
+    switch (wk.conn.readLine(line, deadline, wakePipe[0])) {
+    case net::LineConn::Read::Line:
+        break;
+    case net::LineConn::Read::Timeout:
+        return RecvStatus::Timeout;
+    case net::LineConn::Read::Closed:
+        return RecvStatus::Closed;
+    case net::LineConn::Read::TooLarge:
+        warn("dist: worker %s:%u sent an oversized line",
+             wk.ep.host.c_str(), unsigned(wk.ep.port));
+        return RecvStatus::Closed;
     }
+    std::string error;
+    if (!net::parseResponse(line, out, error)) {
+        warn("dist: worker %s:%u sent a bad response: %s",
+             wk.ep.host.c_str(), unsigned(wk.ep.port), error.c_str());
+        return RecvStatus::Closed;
+    }
+    return RecvStatus::Ok;
 }
 
 void

@@ -2,7 +2,7 @@
  * @file
  * A fleet of remote scenario workers, with health tracking.
  *
- * The WorkerPool owns one TCP connection per remote ScenarioServer
+ * The WorkerPool owns one net::LineConn per remote ScenarioServer
  * and the bookkeeping the Coordinator needs to trust them: liveness
  * (an info/ping handshake on every connect), per-worker reconnect
  * backoff (deterministic exponential with Rng jitter, each worker on
@@ -15,7 +15,7 @@
  * all happen on w's thread), so per-worker state is unlocked; only
  * the cross-worker aggregates (alive count, stop signal) are atomic.
  * requestStop() may be called from any thread: it wakes blocked
- * recv() polls through a never-drained self-pipe and aborts backoff
+ * recv() reads through a never-drained self-pipe and aborts backoff
  * sleeps, so a deadline can always interrupt the fleet.
  */
 
@@ -23,6 +23,7 @@
 #define VSYNC_DIST_WORKER_POOL_HH
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -63,6 +64,9 @@ enum class WorkerState
 /** Human-readable state name. */
 const char *workerStateName(WorkerState s);
 
+/** Patience for the info handshake reply on connect. */
+inline constexpr std::chrono::seconds pingTimeout{5};
+
 /** Pool-wide knobs. */
 struct WorkerPoolConfig
 {
@@ -74,14 +78,6 @@ struct WorkerPoolConfig
      * count, so a flaky-but-working worker is never written off.
      */
     unsigned failureBudget = 3;
-    /** Patience for the info handshake reply on connect. */
-    double pingTimeoutSeconds = 5.0;
-    /**
-     * Response line-length cap. Responses legitimately dwarf request
-     * lines (per-trial sample arrays), so this is bounded paranoia
-     * against a corrupt peer, not the 1 MiB request-side default.
-     */
-    std::size_t maxResponseLineBytes = std::size_t{256} << 20;
     /**
      * Seed of the backoff jitter substreams: worker w jitters with
      * Rng::forTrial(seed, w), decorrelating the fleet's retries while
@@ -150,10 +146,11 @@ class WorkerPool
     };
 
     /**
-     * Receive the next response line from worker @p w, waiting up to
-     * @p timeout_seconds.
+     * Receive the next response line from worker @p w, waiting until
+     * @p deadline.
      */
-    RecvStatus recv(unsigned w, double timeout_seconds,
+    RecvStatus recv(unsigned w,
+                    std::chrono::steady_clock::time_point deadline,
                     net::WireResponse &out);
 
     /** Record one request-to-response latency observation. */
@@ -185,7 +182,6 @@ class WorkerPool
     struct Worker;
 
     bool connectOnce(unsigned w);
-    void closeWorker(Worker &wk);
     /** Sleep @p seconds unless requestStop() interrupts; true when
      *  the sleep completed undisturbed. */
     bool interruptibleSleep(double seconds);

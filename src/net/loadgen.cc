@@ -1,12 +1,5 @@
 #include "net/loadgen.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -16,6 +9,7 @@
 #include <thread>
 
 #include "common/logging.hh"
+#include "net/conn.hh"
 
 namespace vsync::net
 {
@@ -24,42 +18,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-int
-connectTo(const std::string &host, std::uint16_t port)
-{
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ::close(fd);
-        return -1;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return fd;
-}
-
-bool
-sendAll(int fd, const char *data, std::size_t len)
-{
-    while (len > 0) {
-        const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 double
 quantile(std::vector<double> sorted, double q)
@@ -89,16 +47,12 @@ runLoadGen(const LoadGenConfig &cfg)
 
     // Request i -> connection i % nconn; ids carry i, so response
     // slots are disjoint across reader threads and need no locks.
-    std::vector<int> fds(nconn, -1);
-    for (unsigned c = 0; c < nconn; ++c) {
-        fds[c] = connectTo(cfg.host, cfg.port);
-        if (fds[c] < 0) {
+    std::vector<LineConn> conns(nconn);
+    for (LineConn &conn : conns) {
+        if (!conn.connect(cfg.host, cfg.port, maxResponseLineBytes)) {
             warn("loadgen: connect to %s:%u failed: %s",
                  cfg.host.c_str(), unsigned(cfg.port),
                  std::strerror(errno));
-            for (int fd : fds)
-                if (fd >= 0)
-                    ::close(fd);
             res.transportOk = false;
             res.lost = cfg.requests;
             return res;
@@ -138,10 +92,9 @@ runLoadGen(const LoadGenConfig &cfg)
                 std::this_thread::sleep_until(due);
                 WireRequest rq = cfg.mix[i % cfg.mix.size()];
                 rq.id = i;
-                std::string line = encodeRequest(rq);
-                line.push_back('\n');
+                const std::string line = encodeRequest(rq);
                 sendTime[i] = Clock::now();
-                if (!sendAll(fds[c], line.data(), line.size())) {
+                if (!conns[c].sendLine(line)) {
                     warn("loadgen: send on connection %u failed", c);
                     return;
                 }
@@ -154,53 +107,33 @@ runLoadGen(const LoadGenConfig &cfg)
             std::size_t expected = 0;
             for (std::size_t i = c; i < cfg.requests; i += nconn)
                 ++expected;
-            std::string buffer;
-            char chunk[4096];
+            std::string line;
             std::size_t got = 0;
             while (got < expected) {
-                const auto remaining =
-                    std::chrono::duration_cast<
-                        std::chrono::milliseconds>(recvDeadline -
-                                                   Clock::now())
-                        .count();
-                if (remaining <= 0)
+                const LineConn::Read ev =
+                    conns[c].readLine(line, recvDeadline);
+                if (ev == LineConn::Read::Timeout ||
+                    ev == LineConn::Read::Closed)
                     return;
-                pollfd pfd{fds[c], POLLIN, 0};
-                const int pr =
-                    ::poll(&pfd, 1, static_cast<int>(remaining));
-                if (pr < 0) {
-                    if (errno == EINTR)
-                        continue;
+                if (ev == LineConn::Read::TooLarge) {
+                    warn("loadgen: response exceeds %zu bytes",
+                         maxResponseLineBytes);
+                    parseFailed.store(true);
                     return;
                 }
-                if (pr == 0)
-                    return; // deadline
-                const ssize_t n =
-                    ::recv(fds[c], chunk, sizeof(chunk), 0);
-                if (n < 0 && errno == EINTR)
-                    continue;
-                if (n <= 0)
-                    return; // server closed
-                buffer.append(chunk, static_cast<std::size_t>(n));
-                std::size_t nl;
-                while ((nl = buffer.find('\n')) != std::string::npos) {
-                    const std::string_view line(buffer.data(), nl);
-                    WireResponse rsp;
-                    std::string error;
-                    if (!parseResponse(line, rsp, error)) {
-                        warn("loadgen: bad response: %s",
-                             error.c_str());
-                        parseFailed.store(true);
-                        return;
-                    }
-                    const std::uint64_t id = rsp.id;
-                    if (id < cfg.requests && !res.gotReply[id]) {
-                        recvTime[id] = Clock::now();
-                        res.responses[id] = std::move(rsp);
-                        res.gotReply[id] = 1;
-                        ++got;
-                    }
-                    buffer.erase(0, nl + 1);
+                WireResponse rsp;
+                std::string error;
+                if (!parseResponse(line, rsp, error)) {
+                    warn("loadgen: bad response: %s", error.c_str());
+                    parseFailed.store(true);
+                    return;
+                }
+                const std::uint64_t id = rsp.id;
+                if (id < cfg.requests && !res.gotReply[id]) {
+                    recvTime[id] = Clock::now();
+                    res.responses[id] = std::move(rsp);
+                    res.gotReply[id] = 1;
+                    ++got;
                 }
             }
         });
@@ -209,8 +142,7 @@ runLoadGen(const LoadGenConfig &cfg)
         t.join();
     for (std::thread &t : readers)
         t.join();
-    for (int fd : fds)
-        ::close(fd);
+    conns.clear();
 
     res.wallSeconds =
         std::chrono::duration<double>(Clock::now() - t0).count();

@@ -15,7 +15,9 @@
  * request index, so responses land in disjoint result slots without
  * locks and every request is accounted for exactly once as completed
  * (an "ok" reply), shed ("overloaded"), errored (any other error
- * reply) or lost (no reply before the receive deadline).
+ * reply) or lost (no reply before the receive deadline). Connections
+ * are net::LineConns reading with the clients' response cap,
+ * net::maxResponseLineBytes.
  *
  * bench_net_throughput drives this at swept offered rates and gates
  * on completed + shed + errors + lost == offered plus the
@@ -78,7 +80,8 @@ struct LoadGenResult
     std::vector<WireResponse> responses;
     /** gotReply[i] != 0 iff request i got any reply. */
     std::vector<std::uint8_t> gotReply;
-    /** False when connecting or parsing a response failed. */
+    /** False when connecting failed, or a response was unparseable
+     *  or longer than net::maxResponseLineBytes. */
     bool transportOk = true;
 };
 

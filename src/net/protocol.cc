@@ -633,6 +633,9 @@ LineReader::LineReader(std::size_t max_line_bytes) : cap(max_line_bytes)
 void
 LineReader::feed(const char *data, std::size_t len)
 {
+    // Lines already handed out leave once per feed, not once per line.
+    buffer.erase(0, head);
+    head = 0;
     buffer.append(data, len);
 }
 
@@ -640,44 +643,46 @@ LineReader::Next
 LineReader::next(std::string &line)
 {
     for (;;) {
-        if (discarding) {
-            // Inside an oversized line: throw bytes away until its
-            // terminating newline resynchronises the stream. The
-            // TooLarge event was already emitted when the cap broke.
-            const std::size_t nl = buffer.find('\n');
-            if (nl == std::string::npos) {
-                dropped += buffer.size();
-                buffer.clear();
-                return Next::NeedMore;
-            }
-            dropped += nl + 1;
-            buffer.erase(0, nl + 1);
-            discarding = false;
-            continue;
-        }
-        const std::size_t nl = buffer.find('\n');
+        // [head, head + scanned) is known to hold no '\n': each byte is
+        // searched once, however finely the stream arrives.
+        const std::size_t nl = buffer.find('\n', head + scanned);
         if (nl == std::string::npos) {
-            if (buffer.size() > cap) {
-                // The partial line outgrew the cap with no newline in
-                // sight: drop it now instead of buffering without
-                // limit, and report exactly once.
-                ++oversized;
-                dropped += buffer.size();
+            const std::size_t pending = buffer.size() - head;
+            if (discarding || pending > cap) {
+                // Inside an oversized line, or a partial line that
+                // outgrew the cap with no newline in sight: drop its
+                // bytes now instead of buffering without limit, and
+                // report exactly once.
+                dropped += pending;
                 buffer.clear();
+                head = scanned = 0;
+                if (discarding)
+                    return Next::NeedMore;
+                ++oversized;
                 discarding = true;
                 return Next::TooLarge;
             }
+            scanned = pending;
             return Next::NeedMore;
         }
-        if (nl > cap) {
+        const std::size_t begin = head;
+        const std::size_t len = nl - begin;
+        head = nl + 1;
+        scanned = 0;
+        if (discarding) {
+            // The newline that ends an oversized line resynchronises
+            // the stream; its TooLarge event was already emitted.
+            dropped += len + 1;
+            discarding = false;
+            continue;
+        }
+        if (len > cap) {
             // A whole oversized line arrived within one feed.
             ++oversized;
-            dropped += nl + 1;
-            buffer.erase(0, nl + 1);
+            dropped += len + 1;
             return Next::TooLarge;
         }
-        line.assign(buffer, 0, nl);
-        buffer.erase(0, nl + 1);
+        line.assign(buffer, begin, len);
         return Next::Line;
     }
 }

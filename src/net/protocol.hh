@@ -289,6 +289,10 @@ class LineReader
   private:
     std::size_t cap;
     std::string buffer;
+    /** Start of the bytes not yet handed out. */
+    std::size_t head = 0;
+    /** Bytes from head already searched for '\n' in vain. */
+    std::size_t scanned = 0;
     /** Inside an oversized line: discard until the next '\n'. */
     bool discarding = false;
     std::uint64_t oversized = 0;

@@ -2,11 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -14,6 +14,7 @@
 #include "clocktree/builders.hh"
 #include "common/logging.hh"
 #include "layout/generators.hh"
+#include "net/conn.hh"
 #include "obs/metrics.hh"
 
 namespace vsync::net
@@ -31,39 +32,21 @@ latencyBoundsMs()
     return {0.5, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000};
 }
 
-/** write() the whole buffer; false on a dead peer (EPIPE etc.). */
-bool
-sendAll(int fd, const char *data, std::size_t len)
-{
-    while (len > 0) {
-        const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        len -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
 } // namespace
 
 /** Per-connection state shared by its reader and the lanes. */
 struct ScenarioServer::Connection
 {
-    int fd = -1;
+    Connection(int fd, std::size_t max_line_bytes)
+        : link(fd, max_line_bytes)
+    {
+    }
+
+    LineConn link;
     /** Serialises writes: reader (error replies) vs lanes. */
     std::mutex writeMutex;
     /** The peer vanished; suppress further writes. */
     std::atomic<bool> dead{false};
-
-    ~Connection()
-    {
-        if (fd >= 0)
-            ::close(fd);
-    }
 };
 
 /** One lazily built scenario: the layout and (for trees) the tree. */
@@ -76,8 +59,8 @@ struct ScenarioServer::Scenario
 
 ScenarioServer::ScenarioServer(ServerConfig config)
     : cfg(config),
-      svc(serve::ServiceConfig{config.computeThreads,
-                               config.cacheCapacity, config.metrics})
+      svc(serve::ServiceConfig{.threads = config.computeThreads,
+                               .metrics = config.metrics})
 {
 }
 
@@ -163,14 +146,14 @@ ScenarioServer::stop()
     }
 
     // 2. Drain: the queue is frozen now (no readers left). Give the
-    //    lanes cfg.drainSeconds to answer what was admitted.
+    //    lanes drainSeconds to answer what was admitted.
     {
         std::unique_lock<std::mutex> lock(queueMutex);
         const auto idle = [this] {
             return queue.empty() && busyLanes == 0;
         };
         if (!drainCv.wait_for(
-                lock, std::chrono::duration<double>(cfg.drainSeconds),
+                lock, std::chrono::duration<double>(drainSeconds),
                 idle)) {
             // 3. Out of patience: the in-flight batches get cancelled
             //    and the stragglers run with an expired deadline, so
@@ -225,12 +208,10 @@ ScenarioServer::acceptLoop()
             warn("net: accept failed: %s", std::strerror(errno));
             break;
         }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-        auto conn = std::make_shared<Connection>();
-        conn->fd = fd;
+        auto conn = std::make_shared<Connection>(fd, cfg.maxLineBytes);
         if (cfg.metrics) {
+            conn->link.meter(&cfg.metrics->counter("net.bytes.in"),
+                             &cfg.metrics->counter("net.bytes.out"));
             cfg.metrics->counter("net.connections.accepted").inc();
             cfg.metrics->gauge("net.connections.active").add(1.0);
         }
@@ -244,116 +225,80 @@ ScenarioServer::acceptLoop()
 void
 ScenarioServer::connectionLoop(std::shared_ptr<Connection> conn)
 {
-    LineReader reader(cfg.maxLineBytes);
     std::string line;
-    char chunk[4096];
-
-    const auto fail = [&](const char *why) {
-        (void)why;
-        conn->dead.store(true);
-    };
-
-    while (!draining.load()) {
-        pollfd fds[2] = {{conn->fd, POLLIN, 0},
-                         {wakePipe[0], POLLIN, 0}};
-        if (::poll(fds, 2, -1) < 0) {
-            if (errno == EINTR)
-                continue;
-            fail("poll");
+    for (;;) {
+        // Closed: the peer hung up, the socket failed, or stop() wrote
+        // the wake pipe. Queued requests keep their shared_ptr; late
+        // replies to a vanished peer are dropped by writeLine.
+        const LineConn::Read got = conn->link.readLine(
+            line, LineConn::Clock::time_point::max(), wakePipe[0]);
+        if (got == LineConn::Read::Closed)
             break;
-        }
-        if (draining.load())
-            break;
-        if (!(fds[0].revents & (POLLIN | POLLHUP | POLLERR)))
+        const Clock::time_point arrival = Clock::now();
+        if (got == LineConn::Read::TooLarge) {
+            // The line's bytes are already dropped; the reply has no
+            // id to echo (the line was never parsed) and the
+            // connection survives, resynchronised at the newline.
+            if (cfg.metrics)
+                cfg.metrics->counter("net.requests.too_large").inc();
+            writeLine(*conn,
+                      encodeError(0, errTooLarge,
+                                  "request line exceeds " +
+                                      std::to_string(cfg.maxLineBytes) +
+                                      " bytes"));
             continue;
-        const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0) {
-            // Peer closed (or error): done reading. Queued requests
-            // keep their shared_ptr; late replies hit a dead socket
-            // and are dropped by writeLine.
-            if (n < 0)
-                fail("recv");
-            break;
         }
-        if (cfg.metrics)
-            cfg.metrics->counter("net.bytes.in")
-                .inc(static_cast<std::uint64_t>(n));
-        reader.feed(chunk, static_cast<std::size_t>(n));
 
-        for (;;) {
-            const LineReader::Next ev = reader.next(line);
-            if (ev == LineReader::Next::NeedMore)
-                break;
-            const Clock::time_point arrival = Clock::now();
-            if (ev == LineReader::Next::TooLarge) {
-                // The line's bytes are already dropped; the reply has
-                // no id to echo (the line was never parsed) and the
-                // connection survives, resynchronised at the newline.
+        WireRequest rq;
+        std::string error;
+        if (line.find_first_not_of(" \t\r") == std::string::npos) {
+            // Blank line: ignore (nc users hitting return).
+        } else if (!parseRequest(line, rq, error)) {
+            if (cfg.metrics)
+                cfg.metrics->counter("net.requests.bad").inc();
+            writeLine(*conn, encodeError(rq.id, errBadRequest,
+                                         error));
+        } else if (rq.kind == QueryKind::Info) {
+            // Health ping: answered here on the reader thread, so
+            // liveness probes see the truth even when every lane
+            // and the pool are saturated.
+            InfoReply info;
+            info.threads = svc.threads();
+            info.queueCapacity = cfg.admissionCapacity;
+            info.draining = draining.load();
+            {
+                std::lock_guard<std::mutex> lock(queueMutex);
+                info.queueDepth = queue.size();
+            }
+            if (cfg.metrics)
+                cfg.metrics->counter("net.requests.info").inc();
+            writeLine(*conn, encodeInfo(rq.id, info));
+        } else if (draining.load()) {
+            writeLine(*conn, encodeError(rq.id, errShuttingDown,
+                                         "server stopping"));
+        } else {
+            bool admitted = false;
+            {
+                std::lock_guard<std::mutex> lock(queueMutex);
+                if (queue.size() < cfg.admissionCapacity) {
+                    queue.push_back(Pending{conn, rq, arrival});
+                    admitted = true;
+                }
+            }
+            if (admitted) {
+                queueCv.notify_one();
                 if (cfg.metrics)
-                    cfg.metrics->counter("net.requests.too_large")
+                    cfg.metrics->counter("net.requests.accepted")
+                        .inc();
+            } else {
+                // Shed, loudly: the client learns immediately
+                // instead of waiting on an unbounded queue.
+                if (cfg.metrics)
+                    cfg.metrics->counter("net.requests.shed")
                         .inc();
                 writeLine(*conn,
-                          encodeError(0, errTooLarge,
-                                      "request line exceeds " +
-                                          std::to_string(
-                                              cfg.maxLineBytes) +
-                                          " bytes"));
-                continue;
-            }
-
-            WireRequest rq;
-            std::string error;
-            if (line.find_first_not_of(" \t\r") == std::string::npos) {
-                // Blank line: ignore (nc users hitting return).
-            } else if (!parseRequest(line, rq, error)) {
-                if (cfg.metrics)
-                    cfg.metrics->counter("net.requests.bad").inc();
-                writeLine(*conn, encodeError(rq.id, errBadRequest,
-                                             error));
-            } else if (rq.kind == QueryKind::Info) {
-                // Health ping: answered here on the reader thread, so
-                // liveness probes see the truth even when every lane
-                // and the pool are saturated.
-                InfoReply info;
-                info.threads = svc.threads();
-                info.queueCapacity = cfg.admissionCapacity;
-                info.draining = draining.load();
-                {
-                    std::lock_guard<std::mutex> lock(queueMutex);
-                    info.queueDepth = queue.size();
-                }
-                if (cfg.metrics)
-                    cfg.metrics->counter("net.requests.info").inc();
-                writeLine(*conn, encodeInfo(rq.id, info));
-            } else if (draining.load()) {
-                writeLine(*conn, encodeError(rq.id, errShuttingDown,
-                                             "server stopping"));
-            } else {
-                bool admitted = false;
-                {
-                    std::lock_guard<std::mutex> lock(queueMutex);
-                    if (queue.size() < cfg.admissionCapacity) {
-                        queue.push_back(Pending{conn, rq, arrival});
-                        admitted = true;
-                    }
-                }
-                if (admitted) {
-                    queueCv.notify_one();
-                    if (cfg.metrics)
-                        cfg.metrics->counter("net.requests.accepted")
-                            .inc();
-                } else {
-                    // Shed, loudly: the client learns immediately
-                    // instead of waiting on an unbounded queue.
-                    if (cfg.metrics)
-                        cfg.metrics->counter("net.requests.shed")
-                            .inc();
-                    writeLine(*conn,
-                              encodeError(rq.id, errOverloaded,
-                                          "admission queue full"));
-                }
+                          encodeError(rq.id, errOverloaded,
+                                      "admission queue full"));
             }
         }
     }
@@ -388,36 +333,56 @@ ScenarioServer::dispatchLoop()
     }
 }
 
-const ScenarioServer::Scenario &
+std::shared_ptr<const ScenarioServer::Scenario>
 ScenarioServer::scenarioFor(const WireRequest &rq)
 {
-    const std::tuple<int, int, int> key{static_cast<int>(rq.scheme),
-                                        rq.rows, rq.cols};
+    const CatalogKey key{static_cast<int>(rq.scheme), rq.rows, rq.cols};
+    const auto cellsOf = [](const CatalogKey &k) {
+        return static_cast<std::size_t>(std::get<1>(k)) *
+               static_cast<std::size_t>(std::get<2>(k));
+    };
     // Held across a first build too, so two lanes asking for the same
     // new scenario build it once.
     std::lock_guard<std::mutex> lock(catalogMutex);
-    auto it = catalog.find(key);
-    if (it == catalog.end()) {
-        auto sc = std::make_unique<Scenario>();
-        sc->layout = layout::meshLayout(rq.rows, rq.cols);
-        if (rq.scheme == WireScheme::HTree) {
-            sc->tree = clocktree::buildHTreeGrid(sc->layout, rq.rows,
-                                                 rq.cols);
-            sc->hasTree = true;
-        } else if (rq.scheme == WireScheme::Spine) {
-            sc->tree = clocktree::buildSpine(sc->layout);
-            sc->hasTree = true;
-        }
-        it = catalog.emplace(key, std::move(sc)).first;
+    if (auto it = catalog.find(key); it != catalog.end()) {
+        it->second.lastUse = ++catalogClock;
+        return it->second.scenario;
     }
-    return *it->second;
+    auto sc = std::make_shared<Scenario>();
+    sc->layout = layout::meshLayout(rq.rows, rq.cols);
+    if (rq.scheme == WireScheme::HTree) {
+        sc->tree = clocktree::buildHTreeGrid(sc->layout, rq.rows, rq.cols);
+        sc->hasTree = true;
+    } else if (rq.scheme == WireScheme::Spine) {
+        sc->tree = clocktree::buildSpine(sc->layout);
+        sc->hasTree = true;
+    }
+    catalog.emplace(key, CatalogEntry{sc, ++catalogClock});
+    catalogCells += cellsOf(key);
+    // Evict least recently used first. One shape never exceeds the
+    // cap, so the new entry (the most recent) survives.
+    while (catalogCells > catalogCapCells) {
+        const auto coldest = std::min_element(
+            catalog.begin(), catalog.end(),
+            [](const auto &a, const auto &b) {
+                return a.second.lastUse < b.second.lastUse;
+            });
+        catalogCells -= cellsOf(coldest->first);
+        catalog.erase(coldest);
+    }
+    if (cfg.metrics)
+        cfg.metrics->gauge("net.catalog.cells")
+            .set(static_cast<double>(catalogCells));
+    return sc;
 }
 
 void
 ScenarioServer::serveOne(Pending &p)
 {
     const WireRequest &rq = p.rq;
-    const Scenario &sc = scenarioFor(rq);
+    // Our own reference: an eviction cannot free it mid-run.
+    const std::shared_ptr<const Scenario> scenario = scenarioFor(rq);
+    const Scenario &sc = *scenario;
 
     mc::McConfig mcc;
     mcc.seed = rq.seed;
@@ -487,15 +452,8 @@ ScenarioServer::writeLine(Connection &conn, const std::string &line)
     if (conn.dead.load())
         return;
     std::lock_guard<std::mutex> lock(conn.writeMutex);
-    std::string framed = line;
-    framed.push_back('\n');
-    if (!sendAll(conn.fd, framed.data(), framed.size())) {
+    if (!conn.link.sendLine(line))
         conn.dead.store(true);
-        return;
-    }
-    if (cfg.metrics)
-        cfg.metrics->counter("net.bytes.out")
-            .inc(static_cast<std::uint64_t>(framed.size()));
 }
 
 } // namespace vsync::net

@@ -38,10 +38,20 @@
  * outlives the socket: connection file descriptors close only after
  * every lane wrote its last reply.
  *
+ * Requests name their scenario by (scheme, rows, cols); the server
+ * builds each layout and clock tree once and keeps it in a catalog
+ * bounded by catalogCapCells total cells, evicting the least recently
+ * used shape. A lane holds its own reference to the scenario it
+ * serves, so an eviction never frees a scenario still in use.
+ *
+ * Every connection is a net::LineConn (net/conn.hh): the reader
+ * thread reads through it and the lanes write replies through it.
+ *
  * Metrics (when cfg.metrics is set) land under "net.*":
  * connections.accepted/active, requests.accepted/shed/bad/completed,
- * request.latency_ms histogram, bytes.in/out -- alongside the
- * embedded service's "serve.*" counters.
+ * request.latency_ms histogram, bytes.in/out (raw socket bytes),
+ * catalog.cells gauge -- alongside the embedded service's "serve.*"
+ * counters.
  */
 
 #ifndef VSYNC_NET_SERVER_HH
@@ -56,6 +66,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "net/protocol.hh"
@@ -69,6 +80,15 @@ class MetricsRegistry;
 namespace vsync::net
 {
 
+/** stop(): queue-drain budget before stragglers are expired. */
+inline constexpr double drainSeconds = 5.0;
+
+/**
+ * Scenario catalog bound, in total cells over the resident shapes:
+ * four of the largest shape a request may name.
+ */
+inline constexpr std::size_t catalogCapCells = 4 * maxWireCells;
+
 /** Server knobs. */
 struct ServerConfig
 {
@@ -81,8 +101,6 @@ struct ServerConfig
     unsigned computeThreads = 0;
     /** Admission queue bound; arrivals beyond it are shed. */
     std::size_t admissionCapacity = 64;
-    /** Compiled-kernel cache capacity of the embedded service. */
-    std::size_t cacheCapacity = 32;
     /**
      * Longest accepted request line. An oversized line is answered
      * with {"ok":false,"error":"too_large"} and skipped (the reader
@@ -91,8 +109,6 @@ struct ServerConfig
      * never sends '\n' cannot balloon server memory.
      */
     std::size_t maxLineBytes = defaultMaxLineBytes;
-    /** stop(): queue-drain budget before stragglers are expired. */
-    double drainSeconds = 5.0;
     /** Optional registry for "net.*" and the service's "serve.*". */
     obs::MetricsRegistry *metrics = nullptr;
 };
@@ -142,15 +158,23 @@ class ScenarioServer
         /** steady_clock::now() when the request line was read. */
         std::chrono::steady_clock::time_point arrival;
     };
-    /** A lazily built (layout, tree) scenario, address-stable. */
+    /** A lazily built (layout, tree) scenario. */
     struct Scenario;
+    /** Catalog key: (scheme, rows, cols). */
+    using CatalogKey = std::tuple<int, int, int>;
+    struct CatalogEntry
+    {
+        std::shared_ptr<const Scenario> scenario;
+        /** catalogClock at the entry's latest use. */
+        std::uint64_t lastUse = 0;
+    };
 
     void acceptLoop();
     void connectionLoop(std::shared_ptr<Connection> conn);
     void dispatchLoop();
     /** Serve one admitted request (on a dispatch lane). */
     void serveOne(Pending &p);
-    const Scenario &scenarioFor(const WireRequest &rq);
+    std::shared_ptr<const Scenario> scenarioFor(const WireRequest &rq);
     void writeLine(Connection &conn, const std::string &line);
     void wakeThreads();
 
@@ -184,14 +208,14 @@ class ScenarioServer
     bool lanesExit = false;
 
     /**
-     * Scenario catalog, keyed by (scheme, rows, cols), shared by the
-     * lanes under catalogMutex. unique_ptr keeps borrowed layout/tree
-     * addresses stable across catalog growth; entries are never
-     * removed while the server runs.
+     * Scenario catalog, shared by the lanes under catalogMutex: at
+     * most catalogCapCells cells resident, least recently used shape
+     * evicted first.
      */
     std::mutex catalogMutex;
-    std::map<std::tuple<int, int, int>, std::unique_ptr<Scenario>>
-        catalog;
+    std::map<CatalogKey, CatalogEntry> catalog;
+    std::uint64_t catalogClock = 0;
+    std::size_t catalogCells = 0;
 };
 
 } // namespace vsync::net

@@ -5,7 +5,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "obs/sink.hh"
 
 namespace vsync::obs
 {
@@ -167,12 +166,6 @@ MetricsRegistry::toJsonString() const
     JsonWriter w(os);
     writeJson(w);
     return os.str();
-}
-
-void
-MetricsRegistry::flush(Sink &sink) const
-{
-    sink.onMetricsJson(toJsonString());
 }
 
 } // namespace vsync::obs

@@ -140,7 +140,7 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
             future = it->second.kernel;
             hitCount.fetch_add(1, std::memory_order_relaxed);
             if (cfg.metrics)
-                cfg.metrics->counter(cfg.metricsPrefix + "hits").inc();
+                cfg.metrics->counter("serve.cache.hits").inc();
         } else {
             // Miss: insert the future as a placeholder before
             // compiling, so concurrent callers of the same scenario
@@ -152,7 +152,7 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
             compiler = true;
             missCount.fetch_add(1, std::memory_order_relaxed);
             if (cfg.metrics)
-                cfg.metrics->counter(cfg.metricsPrefix + "misses").inc();
+                cfg.metrics->counter("serve.cache.misses").inc();
             while (entries.size() > cfg.capacity) {
                 // Evict coldest. Waiters on an evicted in-flight entry
                 // are unaffected: they hold the shared state.
@@ -161,7 +161,7 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
                 evictionCount.fetch_add(1, std::memory_order_relaxed);
                 if (cfg.metrics)
                     cfg.metrics
-                        ->counter(cfg.metricsPrefix + "evictions")
+                        ->counter("serve.cache.evictions")
                         .inc();
             }
         }
@@ -203,7 +203,7 @@ ScenarioCache::noteCompiled(double ms)
                                             std::memory_order_relaxed))
         ;
     if (cfg.metrics)
-        cfg.metrics->gauge(cfg.metricsPrefix + "compile_ms").add(ms);
+        cfg.metrics->gauge("serve.cache.compile_ms").add(ms);
 }
 
 } // namespace vsync::serve

@@ -36,18 +36,11 @@ configOf(const SweepRequest &rq)
     return std::get<ResilienceRequest>(rq).cfg;
 }
 
-bool
-isSkewRequest(const SweepRequest &rq)
-{
-    return std::holds_alternative<SkewRequest>(rq);
-}
-
 } // namespace
 
 SweepService::SweepService(ServiceConfig config)
     : cfg(config),
-      kernels(ScenarioCache::Config{config.cacheCapacity, config.metrics,
-                                    "serve.cache."}),
+      kernels(ScenarioCache::Config{config.cacheCapacity, config.metrics}),
       pool(config.threads)
 {
     if (cfg.metrics) {
@@ -87,8 +80,7 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                     : Clock::time_point::max();
 
     const auto externallyCancelled = [&]() {
-        return cancelEpoch.load(std::memory_order_relaxed) != epoch ||
-               (opts.cancel && opts.cancel->cancelled());
+        return cancelEpoch.load(std::memory_order_relaxed) != epoch;
     };
 
     BatchOutcome out;
@@ -102,7 +94,6 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     std::vector<Compiled> compiled(batch.size());
     for (std::size_t r = 0; r < batch.size(); ++r) {
         configOf(batch[r]).validate();
-        out.outcomes[r].trialsRequested = configOf(batch[r]).trials;
         if (externallyCancelled())
             continue;
         if (expiredOnArrival ||
@@ -130,25 +121,18 @@ SweepService::run(const std::vector<SweepRequest> &batch,
 
     // Phase 2 -- shard every request's trials into grain-sized units
     // (the public appendWorkUnits seam, so the distributed coordinator
-    // shards identically) and preallocate the per-trial slots they
-    // write.
+    // shards identically) and size the per-trial slots they write.
     std::vector<WorkUnit> units;
+    std::vector<std::uint8_t> isSkew(batch.size());
     for (std::size_t r = 0; r < batch.size(); ++r) {
         const mc::McConfig &mcc = configOf(batch[r]);
-        RequestOutcome &o = out.outcomes[r];
-        if (isSkewRequest(batch[r])) {
-            o.skew.samples.assign(mcc.trials, 0.0);
-        } else {
-            const ResilienceRequest &q =
-                std::get<ResilienceRequest>(batch[r]);
-            o.resilience.faultRate = q.faultRate;
-            o.resilience.maxCommSkew.samples.assign(mcc.trials, 0.0);
-            o.resilience.clockedFraction.samples.assign(mcc.trials, 0.0);
-            o.faultSamples.assign(mcc.trials, 0.0);
-        }
-        if (!compiled[r].ready)
-            continue;
-        appendWorkUnits(r, mcc.trials, mcc.grain, units);
+        const ResilienceRequest *q =
+            std::get_if<ResilienceRequest>(&batch[r]);
+        isSkew[r] = q == nullptr;
+        allocateOutcome(isSkew[r], mcc.trials, q ? q->faultRate : 0.0,
+                        out.outcomes[r]);
+        if (compiled[r].ready)
+            appendWorkUnits(r, mcc.trials, mcc.grain, units);
     }
 
     // Phase 3 -- run the units of all requests interleaved on the one
@@ -214,23 +198,10 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     // requests reduce exactly as the mc:: sweeps do (trial order over
     // all samples: bit-identical), Partial requests fold only the
     // trials that ran, still in trial order, and report which ones
-    // those were. The distributed coordinator calls the same
-    // foldOutcomeInTrialOrder on remotely computed samples.
-    std::vector<std::uint8_t> trialDone;
-    std::size_t totalDone = 0;
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-        const mc::McConfig &mcc = configOf(batch[r]);
-        RequestOutcome &o = out.outcomes[r];
-        trialDone.assign(mcc.trials, 0);
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            if (!unitDone[u] || units[u].request != r)
-                continue;
-            for (std::size_t i = units[u].begin; i < units[u].end; ++i)
-                trialDone[i] = 1;
-        }
-        foldOutcomeInTrialOrder(isSkewRequest(batch[r]), trialDone, o);
-        totalDone += o.trialsDone;
-    }
+    // those were. The distributed coordinator folds remotely computed
+    // samples through the same foldDoneUnits.
+    const std::size_t totalDone =
+        foldDoneUnits(units, unitDone, isSkew, out.outcomes);
 
     out.deadlineExpired = deadlineHit.load(std::memory_order_relaxed);
     out.cancelled = externallyCancelled();

@@ -142,12 +142,6 @@ struct BatchOptions
      * deadlines here, so "expired on arrival" must cost nothing.
      */
     double deadlineSeconds = infinity;
-    /**
-     * Optional external cancel signal (borrowed), e.g. shared by a
-     * caller that multiplexes several services. The service also has
-     * its own cancel() for the common case.
-     */
-    const CancelToken *cancel = nullptr;
 };
 
 /** What a batch run produced. */
@@ -155,7 +149,7 @@ struct BatchOutcome
 {
     /** One outcome per request, in request order. */
     std::vector<RequestOutcome> outcomes;
-    /** The batch was cancelled (externally or via cancel()). */
+    /** The batch was cancelled (via cancel()). */
     bool cancelled = false;
     /** The deadline expired mid-batch. */
     bool deadlineExpired = false;

@@ -16,21 +16,6 @@ appendWorkUnits(std::size_t request, std::size_t trials,
         out.push_back(WorkUnit{request, b, std::min(b + grain, trials)});
 }
 
-std::vector<WorkUnit>
-decomposeWorkUnits(const std::vector<SweepRequest> &batch)
-{
-    std::vector<WorkUnit> units;
-    for (std::size_t r = 0; r < batch.size(); ++r) {
-        const mc::McConfig &cfg =
-            std::holds_alternative<SkewRequest>(batch[r])
-                ? std::get<SkewRequest>(batch[r]).cfg
-                : std::get<ResilienceRequest>(batch[r]).cfg;
-        cfg.validate();
-        appendWorkUnits(r, cfg.trials, cfg.grain, units);
-    }
-    return units;
-}
-
 void
 foldOutcomeInTrialOrder(bool is_skew,
                         const std::vector<std::uint8_t> &trialDone,
@@ -82,6 +67,45 @@ foldOutcomeInTrialOrder(bool is_skew,
         o.resilience.meanFaults =
             o.trialsDone ? total / static_cast<double>(o.trialsDone)
                          : 0.0;
+}
+
+void
+allocateOutcome(bool is_skew, std::size_t trials, double fault_rate,
+                RequestOutcome &o)
+{
+    o.trialsRequested = trials;
+    if (is_skew) {
+        o.skew.samples.assign(trials, 0.0);
+        return;
+    }
+    o.resilience.faultRate = fault_rate;
+    o.resilience.maxCommSkew.samples.assign(trials, 0.0);
+    o.resilience.clockedFraction.samples.assign(trials, 0.0);
+    o.faultSamples.assign(trials, 0.0);
+}
+
+std::size_t
+foldDoneUnits(const std::vector<WorkUnit> &units,
+              const std::vector<std::uint8_t> &unit_done,
+              const std::vector<std::uint8_t> &is_skew,
+              std::vector<RequestOutcome> &outcomes)
+{
+    std::vector<std::vector<std::uint8_t>> trialDone(outcomes.size());
+    for (std::size_t r = 0; r < outcomes.size(); ++r)
+        trialDone[r].assign(outcomes[r].trialsRequested, 0);
+    for (std::size_t u = 0; u < units.size(); ++u) {
+        if (!unit_done[u])
+            continue;
+        std::vector<std::uint8_t> &done = trialDone[units[u].request];
+        std::fill(done.begin() + units[u].begin,
+                  done.begin() + units[u].end, 1);
+    }
+    std::size_t total = 0;
+    for (std::size_t r = 0; r < outcomes.size(); ++r) {
+        foldOutcomeInTrialOrder(is_skew[r], trialDone[r], outcomes[r]);
+        total += outcomes[r].trialsDone;
+    }
+    return total;
 }
 
 } // namespace vsync::serve

@@ -3,16 +3,18 @@
  * The sharding and folding seams of the serving layer, exposed.
  *
  * SweepService splits every request's trials into grain-sized
- * WorkUnits and, after the fan-out, folds the per-trial samples back
- * into statistics in trial order. Both halves are pure functions of
- * the batch, so they live here as free functions rather than inside
- * the service: the distributed coordinator (src/dist/) shards the
- * *same* units across remote workers and folds the returned samples
- * with the *same* fold, which is what makes "a distributed run is
- * bit-identical to a local run" true by construction instead of by
- * test alone. Any component that honours these two seams -- identical
- * unit boundaries, identical trial-order fold -- produces identical
- * bytes for any shard assignment, arrival order or failure pattern.
+ * WorkUnits, sizes each request's per-trial slots, and after the
+ * fan-out folds the samples of the units that ran back into
+ * statistics in trial order. All of it is a pure function of the
+ * batch, so it lives here as free functions rather than inside the
+ * service: the distributed coordinator (src/dist/) shards the *same*
+ * units across remote workers, copies the returned samples into the
+ * *same* slots and folds them with the *same* fold, which is what
+ * makes "a distributed run is bit-identical to a local run" true by
+ * construction instead of by test alone. Any component that honours
+ * these seams -- identical unit boundaries, identical slots, identical
+ * trial-order fold -- produces identical bytes for any shard
+ * assignment, arrival order or failure pattern.
  */
 
 #ifndef VSYNC_SERVE_WORK_UNIT_HH
@@ -48,12 +50,26 @@ void appendWorkUnits(std::size_t request, std::size_t trials,
                      std::size_t grain, std::vector<WorkUnit> &out);
 
 /**
- * Decompose @p batch into units, request-major then trial-major --
- * the deterministic order SweepService schedules and the distributed
- * coordinator dispatches. Configs are validated as a side effect.
+ * Size @p o for a request of @p trials trials before any unit runs:
+ * trialsRequested is set and the per-trial slots the units write are
+ * zero-filled -- o.skew.samples for a skew request; both resilience
+ * sample vectors, o.faultSamples and the fault rate for a resilience
+ * request.
  */
-std::vector<WorkUnit>
-decomposeWorkUnits(const std::vector<SweepRequest> &batch);
+void allocateOutcome(bool is_skew, std::size_t trials, double fault_rate,
+                     RequestOutcome &o);
+
+/**
+ * Fold a batch's outcomes once its units ran, the reduction the local
+ * service and the distributed coordinator share: trial i of request r
+ * counts as done iff a unit of r covering i has unit_done set, and
+ * every outcome then goes through foldOutcomeInTrialOrder with
+ * is_skew[r]. Returns the trials done over the whole batch.
+ */
+std::size_t foldDoneUnits(const std::vector<WorkUnit> &units,
+                          const std::vector<std::uint8_t> &unit_done,
+                          const std::vector<std::uint8_t> &is_skew,
+                          std::vector<RequestOutcome> &outcomes);
 
 /**
  * Fold @p o's already-filled per-trial samples into its statistics,

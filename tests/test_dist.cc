@@ -105,7 +105,6 @@ testConfig(std::vector<dist::WorkerEndpoint> eps)
     cfg.workers = std::move(eps);
     cfg.pool.backoff.baseSeconds = 0.01;
     cfg.pool.backoff.capSeconds = 0.05;
-    cfg.pool.pingTimeoutSeconds = 5.0;
     return cfg;
 }
 
@@ -552,6 +551,41 @@ TEST(Dist, StragglersAreHedgedOntoIdleWorkersFirstResponseWins)
         EXPECT_GT(out.ledger.hedged, 0u);
     }
     EXPECT_LT(seconds, 20.0); // far below the shard deadline
+    expectBitIdentical(out.outcomes[0], ref.out.outcomes[0], 0);
+}
+
+TEST(Dist, ShardDeadlineFailsTheStalledSessionAndRequeuesItsShards)
+{
+    // Hedging off, so only the shard deadline can rescue the shards
+    // dealt to the black hole: the stalled session times out, its
+    // shards are requeued onto the real worker, and the batch still
+    // completes with the local run's exact bytes.
+    const std::vector<net::WireRequest> batch = {
+        skewRequest(8, 8, 2048, 32)}; // 64 shards
+    const LocalReference ref(batch);
+
+    StallWorker staller;
+    Fleet fleet(1);
+    dist::DistConfig cfg = testConfig(
+        {dist::WorkerEndpoint{"127.0.0.1", staller.port()},
+         fleet.endpoints[0]});
+    cfg.hedge = false;
+    cfg.shardDeadlineSeconds = 0.3;
+    dist::Coordinator coord(cfg);
+
+    // The real worker could in principle take every shard before the
+    // staller's handshake lands; rerun until the staller held one.
+    dist::DistOutcome out;
+    for (int run = 0; run < 5 && staller.stalledRequests() == 0; ++run)
+        out = coord.run(batch);
+    ASSERT_GT(staller.stalledRequests(), 0u);
+
+    EXPECT_TRUE(out.ledger.balanced());
+    EXPECT_EQ(out.ledger.completed, out.ledger.shards);
+    EXPECT_EQ(out.ledger.lost, 0u);
+    EXPECT_EQ(out.ledger.hedged, 0u);
+    EXPECT_GE(out.ledger.retried, 1u);
+    EXPECT_GE(out.ledger.failed, 1u);
     expectBitIdentical(out.outcomes[0], ref.out.outcomes[0], 0);
 }
 

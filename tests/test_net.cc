@@ -4,8 +4,9 @@
  * rejection of malformed requests), the loopback server (bit-identity
  * with direct SweepService runs at several pool widths and on
  * concurrent dispatch lanes, admission control under burst, deadline
- * propagation, graceful shutdown) and the open-loop load generator's
- * request accounting.
+ * propagation, graceful shutdown, the bounded scenario catalog), the
+ * LineConn framing every wire peer reads and writes through, and the
+ * open-loop load generator's request accounting.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
 #include "mc/sweeps.hh"
+#include "net/conn.hh"
 #include "net/loadgen.hh"
 #include "net/protocol.hh"
 #include "net/server.hh"
@@ -820,6 +823,254 @@ TEST(LoadGen, EveryOfferedRequestIsAccountedForExactlyOnce)
         EXPECT_GT(res.p50Ms, 0.0);
         EXPECT_GE(res.p99Ms, res.p50Ms);
     }
+}
+
+TEST(Server, ScenarioCatalogStaysWithinItsCellCapAndEvictionIsInvisible)
+{
+    // Five maximal shapes hold more cells than the catalog may keep,
+    // so the least recently used ones are evicted as the run goes on.
+    obs::MetricsRegistry reg;
+    net::ServerConfig sc;
+    sc.computeThreads = 1;
+    sc.metrics = &reg;
+    net::ScenarioServer server(sc);
+    ASSERT_TRUE(server.start());
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
+
+    const auto request = [](std::uint64_t id, int rows, int cols) {
+        net::WireRequest rq = skewRequest(id);
+        rq.scheme = net::WireScheme::HTree;
+        rq.rows = rows;
+        rq.cols = cols;
+        rq.trials = 2;
+        rq.grain = 2;
+        return net::encodeRequest(rq);
+    };
+    const int sides[][2] = {
+        {256, 256}, {256, 255}, {255, 256}, {255, 255}, {254, 256}};
+    std::size_t offered = 0;
+    std::string first;
+    for (std::uint64_t k = 0; k < 5; ++k) {
+        ASSERT_TRUE(client.sendLine(request(k, sides[k][0], sides[k][1])));
+        const std::string line = client.recvLine();
+        ASSERT_TRUE(parsedOk(line).ok) << k;
+        if (k == 0)
+            first = line;
+        offered += std::size_t(sides[k][0]) * std::size_t(sides[k][1]);
+        EXPECT_LE(reg.gauge("net.catalog.cells").value(),
+                  double(net::catalogCapCells))
+            << k;
+    }
+    ASSERT_GT(offered, net::catalogCapCells);
+    EXPECT_LT(reg.gauge("net.catalog.cells").value(), double(offered));
+
+    // The first shape was evicted; asking again rebuilds it and the
+    // reply carries the same bytes.
+    ASSERT_TRUE(client.sendLine(request(0, sides[0][0], sides[0][1])));
+    const std::string again = client.recvLine();
+    EXPECT_EQ(withoutServerMs(again), withoutServerMs(first));
+    EXPECT_LE(reg.gauge("net.catalog.cells").value(),
+              double(net::catalogCapCells));
+    server.stop();
+}
+
+/** Two connected stream sockets: a LineConn adopts one, the test
+ *  drives the other raw. */
+struct ConnPair
+{
+    explicit ConnPair(std::size_t max_line_bytes = 1024)
+    {
+        int fds[2];
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        conn = std::make_unique<net::LineConn>(fds[0], max_line_bytes);
+        peer = fds[1];
+    }
+
+    ~ConnPair()
+    {
+        if (peer >= 0)
+            ::close(peer);
+    }
+
+    void
+    write(const std::string &bytes) const
+    {
+        ASSERT_EQ(::send(peer, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+                  static_cast<ssize_t>(bytes.size()));
+    }
+
+    /** readLine with a deadline @p ms from now. */
+    net::LineConn::Read
+    read(std::string &line, int ms = 10000) const
+    {
+        return conn->readLine(
+            line, net::LineConn::Clock::now() + std::chrono::milliseconds(ms));
+    }
+
+    std::unique_ptr<net::LineConn> conn;
+    int peer = -1;
+};
+
+using Read = net::LineConn::Read;
+
+TEST(LineConn, LineSplitAcrossOneByteWritesArrivesWhole)
+{
+    ConnPair p;
+    obs::Counter in;
+    p.conn->meter(&in, nullptr);
+    const std::string msg = "{\"id\":1,\"kind\":\"info\"}\n";
+    std::thread writer([&] {
+        for (const char c : msg) {
+            p.write(std::string(1, c));
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+    std::string line;
+    EXPECT_EQ(p.read(line), Read::Line);
+    writer.join();
+    EXPECT_EQ(line, msg.substr(0, msg.size() - 1));
+    EXPECT_EQ(in.value(), msg.size());
+}
+
+TEST(LineConn, SeveralLinesInOneWriteComeOutInOrder)
+{
+    ConnPair p;
+    p.write("a\nbb\n\nccc\n");
+    std::string line;
+    for (const char *want : {"a", "bb", "", "ccc"}) {
+        ASSERT_EQ(p.read(line), Read::Line);
+        EXPECT_EQ(line, want);
+    }
+}
+
+TEST(LineConn, OversizedLineIsTooLargeThenTheStreamResyncs)
+{
+    ConnPair p(16);
+    p.write(std::string(40, 'x') + "\nok\n");
+    std::string line;
+    EXPECT_EQ(p.read(line), Read::TooLarge);
+    ASSERT_EQ(p.read(line), Read::Line);
+    EXPECT_EQ(line, "ok");
+}
+
+TEST(LineConn, OversizedLineArrivingInPiecesIsDroppedAsItGrows)
+{
+    ConnPair p(16);
+    p.write(std::string(20, 'x'));
+    std::string line;
+    EXPECT_EQ(p.read(line), Read::TooLarge); // before its newline arrives
+    p.write(std::string(20, 'x') + "\nok\n");
+    ASSERT_EQ(p.read(line), Read::Line);
+    EXPECT_EQ(line, "ok");
+}
+
+TEST(LineReader, EventsDoNotDependOnHowTheStreamIsChunked)
+{
+    const std::string stream = "alpha\n\n" + std::string(50, 'x') +
+                               "\nbeta\n" + std::string(70, 'y') +
+                               "\ngamma\npartial";
+    const auto events = [&](std::size_t chunk) {
+        net::LineReader reader(32);
+        std::vector<std::string> out;
+        std::string line;
+        for (std::size_t at = 0; at < stream.size(); at += chunk) {
+            reader.feed(stream.data() + at,
+                        std::min(chunk, stream.size() - at));
+            for (;;) {
+                const net::LineReader::Next ev = reader.next(line);
+                if (ev == net::LineReader::Next::NeedMore)
+                    break;
+                out.push_back(ev == net::LineReader::Next::Line
+                                  ? line
+                                  : "<too large>");
+            }
+        }
+        out.push_back(std::to_string(reader.oversizedLines()) + " " +
+                      std::to_string(reader.droppedBytes()));
+        return out;
+    };
+    const std::vector<std::string> want = {
+        "alpha", "", "<too large>", "beta", "<too large>", "gamma", "2 122"};
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{33}, stream.size()})
+        EXPECT_EQ(events(chunk), want) << chunk;
+}
+
+TEST(LineConn, TimesOutAtTheDeadline)
+{
+    ConnPair p;
+    p.write("partial line, no newline");
+    std::string line;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(p.read(line, 50), Read::Timeout);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_GE(ms, 50.0);
+    EXPECT_LT(ms, 5000.0);
+    // The partial line is kept: its newline completes it.
+    p.write("\n");
+    ASSERT_EQ(p.read(line), Read::Line);
+    EXPECT_EQ(line, "partial line, no newline");
+}
+
+TEST(LineConn, WakeFdEndsABlockedReadPromptly)
+{
+    ConnPair p;
+    int wake[2];
+    ASSERT_EQ(::pipe(wake), 0);
+    std::thread waker([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const char b = 1;
+        EXPECT_EQ(::write(wake[1], &b, 1), 1);
+    });
+    std::string line;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(p.conn->readLine(line, net::LineConn::Clock::time_point::max(),
+                               wake[0]),
+              Read::Closed);
+    waker.join();
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count(),
+              5.0);
+    ::close(wake[0]);
+    ::close(wake[1]);
+}
+
+TEST(LineConn, PeerCloseIsClosedAndSendsFailWithoutSigpipe)
+{
+    ConnPair p;
+    obs::Counter out;
+    p.conn->meter(nullptr, &out);
+    ASSERT_TRUE(p.conn->sendLine("hello"));
+    EXPECT_EQ(out.value(), 6u);
+    char buf[16];
+    ASSERT_EQ(::recv(p.peer, buf, sizeof(buf), 0), 6);
+    EXPECT_EQ(std::string(buf, 6), "hello\n");
+
+    p.write("last\n");
+    ::close(p.peer);
+    p.peer = -1;
+    std::string line;
+    ASSERT_EQ(p.read(line), Read::Line); // buffered data survives
+    EXPECT_EQ(line, "last");
+    EXPECT_EQ(p.read(line), Read::Closed);
+    bool sent = true;
+    for (int i = 0; i < 8 && sent; ++i)
+        sent = p.conn->sendLine("into the void");
+    EXPECT_FALSE(sent);
+}
+
+TEST(LineConn, ConnectFailsCleanlyOnABadAddress)
+{
+    net::LineConn conn;
+    EXPECT_FALSE(conn.connect("not-an-ip", 1, 1024));
+    EXPECT_FALSE(conn.isOpen());
+    EXPECT_FALSE(conn.sendLine("x"));
+    std::string line;
+    EXPECT_EQ(conn.readLine(line), Read::Closed);
 }
 
 } // namespace

@@ -27,7 +27,6 @@
 #include "mc/resilience.hh"
 #include "obs/metrics.hh"
 #include "obs/probes.hh"
-#include "obs/sink.hh"
 #include "obs/trace.hh"
 #include "obs/vcd.hh"
 
@@ -126,17 +125,7 @@ TEST(Metrics, JsonBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(one, updateRegistryWith(8));
 }
 
-TEST(Metrics, FlushRendersToSink)
-{
-    obs::MetricsRegistry reg;
-    reg.counter("n").inc(3);
-    obs::CaptureSink sink;
-    reg.flush(sink);
-    ASSERT_EQ(sink.metricsSnapshots().size(), 1u);
-    EXPECT_EQ(sink.metricsSnapshots().front(), reg.toJsonString());
-}
-
-// ------------------------------------------------------- logging + sinks
+// ---------------------------------------------------------------- logging
 
 /** Restores the global logging configuration on scope exit. */
 struct LogStateGuard
@@ -146,6 +135,28 @@ struct LogStateGuard
     {
         setLogLevel(level);
         setLogSink({});
+    }
+};
+
+/** Routes log lines into a vector while attached. */
+struct CapturedLog
+{
+    std::vector<std::pair<LogLevel, std::string>> lines;
+
+    void
+    attach()
+    {
+        setLogSink([this](LogLevel level, const std::string &line) {
+            lines.emplace_back(level, line);
+        });
+    }
+
+    std::size_t
+    countAtLevel(LogLevel level) const
+    {
+        return static_cast<std::size_t>(
+            std::count_if(lines.begin(), lines.end(),
+                          [&](const auto &l) { return l.first == level; }));
     }
 };
 
@@ -165,19 +176,19 @@ TEST(Logging, ParseLogLevel)
 TEST(Logging, LevelFilterDropsBelowThreshold)
 {
     LogStateGuard guard;
-    obs::CaptureSink sink;
-    obs::attachLogSink(&sink);
+    CapturedLog sink;
+    sink.attach();
 
     setLogLevel(LogLevel::Warn);
     inform("not emitted");
     debugLog("not emitted");
     warn("emitted %d", 1);
-    ASSERT_EQ(sink.logLines().size(), 1u);
-    EXPECT_EQ(sink.logLines().front().second, "warn: emitted 1");
+    ASSERT_EQ(sink.lines.size(), 1u);
+    EXPECT_EQ(sink.lines.front().second, "warn: emitted 1");
     EXPECT_EQ(sink.countAtLevel(LogLevel::Info), 0u);
     EXPECT_EQ(sink.countAtLevel(LogLevel::Warn), 1u);
 
-    sink.clear();
+    sink.lines.clear();
     setLogLevel(LogLevel::Debug);
     debugLog("now visible");
     inform("also visible");
@@ -192,10 +203,10 @@ TEST(Logging, EnvVariableSetsLevel)
     initLogLevelFromEnv();
     EXPECT_EQ(logLevel(), LogLevel::Error);
 
-    obs::CaptureSink sink;
-    obs::attachLogSink(&sink);
+    CapturedLog sink;
+    sink.attach();
     warn("dropped at error level");
-    EXPECT_TRUE(sink.logLines().empty());
+    EXPECT_TRUE(sink.lines.empty());
 
     ::unsetenv("VSYNC_LOG_LEVEL");
     initLogLevelFromEnv();
@@ -205,12 +216,12 @@ TEST(Logging, EnvVariableSetsLevel)
 TEST(Logging, DetachedSinkRestoresStderrPath)
 {
     LogStateGuard guard;
-    obs::CaptureSink sink;
-    obs::attachLogSink(&sink);
-    obs::attachLogSink(nullptr);
+    CapturedLog sink;
+    sink.attach();
+    setLogSink(nullptr);
     setLogLevel(LogLevel::Error); // silence the line below
     warn("goes nowhere");
-    EXPECT_TRUE(sink.logLines().empty());
+    EXPECT_TRUE(sink.lines.empty());
 }
 
 // ---------------------------------------------------------------- tracing

@@ -214,35 +214,6 @@ TEST(SweepService, ResilienceBatchMatchesMcAtAllThreadCounts)
     }
 }
 
-TEST(SweepService, PreCancelledBatchIsFlaggedPartialWithZeroTrials)
-{
-    const layout::Layout l = layout::meshLayout(4, 4);
-    const auto tree = clocktree::buildHTreeGrid(l, 4, 4);
-    mc::McConfig cfg;
-    cfg.trials = 50;
-
-    serve::SweepService svc;
-    CancelToken token;
-    token.cancel();
-    serve::BatchOptions opts;
-    opts.cancel = &token;
-    const serve::BatchOutcome out =
-        svc.run({serve::SkewRequest{&l, &tree, kDelay, cfg}}, opts);
-
-    ASSERT_EQ(out.outcomes.size(), 1u);
-    EXPECT_TRUE(out.cancelled);
-    const auto &o = out.outcomes[0];
-    EXPECT_EQ(o.status, serve::RequestStatus::Partial);
-    EXPECT_EQ(o.trialsDone, 0u);
-    EXPECT_EQ(o.trialsRequested, 50u);
-    // Never silently truncated: the mask and samples keep full size.
-    ASSERT_EQ(o.trialDone.size(), 50u);
-    for (const auto d : o.trialDone)
-        EXPECT_EQ(d, 0);
-    EXPECT_EQ(o.skew.samples.size(), 50u);
-    EXPECT_EQ(o.skew.stat.count(), 0u);
-}
-
 TEST(SweepService, ZeroDeadlineExpiresBeforeAnyTrial)
 {
     const layout::Layout l = layout::meshLayout(4, 4);
