@@ -18,12 +18,19 @@
  *  3. Determinism: one sweep point re-run at 1, 2 and 8 threads must
  *     produce bit-identical samples (the fault plans and the sweep
  *     both obey the Rng::forTrial contract).
+ *  4. Levelized vs desim: ResilienceScenario::runTrialBlock (one
+ *     levelized pass per faulty pulse) against runTrial (a freshly
+ *     built desim circuit per trial) on the 16x16 TRIX grid and
+ *     H-tree at fault rate 0.02, in interleaved A/B repeats. Every
+ *     repeat's samples must be bit-identical, and the median of the
+ *     per-repeat speedups must reach levelizedSpeedupGate.
  *
  * Results go to stdout as tables and to BENCH_fault_tolerance.json;
- * the exit code is nonzero if any masking, degradation or determinism
- * property fails.
+ * the exit code is nonzero if any masking, degradation, determinism,
+ * bit-identity or speedup property fails.
  */
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -42,6 +49,12 @@ using namespace vsync;
 
 constexpr int rows = 16;
 constexpr int cols = 16;
+
+/** Section 4: interleaved repeats, trials per repeat, and the least
+ *  median speedup of levelized trials over desim ones. */
+constexpr int timingRepeats = 7;
+constexpr std::size_t timingTrials = 256;
+constexpr double levelizedSpeedupGate = 3.0;
 
 /** Nominal (variation-free) stage delays for the buffered tree. */
 desim::ClockNet::DelayFn
@@ -150,6 +163,65 @@ emitCurve(JsonWriter &json, Table &table, const std::string &kind,
                       Table::fixed(p.clockedFraction.min(), 4)});
     }
     json.endArray().endObject();
+}
+
+/** Section 4's result for one distribution. */
+struct TimingSummary
+{
+    SampleSet levelizedUs; // per trial, one sample per repeat
+    SampleSet desimUs;
+    SampleSet speedup;     // desim / levelized, per repeat
+    bool bitIdentical = true;
+};
+
+/**
+ * Time @p timingRepeats interleaved A/B repeats: A runs trials
+ * [rep * timingTrials, (rep + 1) * timingTrials) through one
+ * runTrialBlock call, B runs the same trials through runTrial one by
+ * one. Each repeat's samples must match bit for bit.
+ */
+TimingSummary
+timeLevelizedAgainstDesim(const mc::ResilienceScenario &scenario,
+                          std::uint64_t seed)
+{
+    using Clock = std::chrono::steady_clock;
+    TimingSummary s;
+    const std::size_t n = timingTrials;
+    std::vector<double> skew(n), clocked(n), faults(n);
+    std::vector<Time> laneScratch;
+    std::vector<fault::DistributionOutcome> ref(n);
+    for (int rep = 0; rep < timingRepeats; ++rep) {
+        const std::uint64_t first = static_cast<std::uint64_t>(rep) * n;
+        const auto a0 = Clock::now();
+        scenario.runTrialBlock(seed, first, n, skew, clocked, faults,
+                               nullptr, laneScratch);
+        const auto a1 = Clock::now();
+        for (std::size_t j = 0; j < n; ++j)
+            ref[j] = scenario.runTrial(seed, first + j);
+        const auto b1 = Clock::now();
+
+        for (std::size_t j = 0; j < n; ++j)
+            s.bitIdentical =
+                s.bitIdentical && skew[j] == ref[j].maxCommSkew &&
+                clocked[j] == ref[j].clockedFraction &&
+                faults[j] == static_cast<double>(ref[j].faultCount);
+        const double aUs =
+            std::chrono::duration<double, std::micro>(a1 - a0).count() /
+            static_cast<double>(n);
+        const double bUs =
+            std::chrono::duration<double, std::micro>(b1 - a1).count() /
+            static_cast<double>(n);
+        s.levelizedUs.add(aUs);
+        s.desimUs.add(bUs);
+        s.speedup.add(bUs / aUs);
+    }
+    return s;
+}
+
+double
+iqr(const SampleSet &x)
+{
+    return x.quantile(0.75) - x.quantile(0.25);
 }
 
 } // namespace
@@ -313,9 +385,60 @@ main(int argc, char **argv)
         }
     }
 
+    // --- 4. Levelized vs desim trials. -------------------------------
+    bench::headline(
+        "Levelized vs desim fault trials: runTrialBlock against runTrial "
+        "on the same trials, interleaved, fault rate 0.02");
+    Table timingTable(
+        "per-trial time (16x16, rate 0.02, " +
+            std::to_string(timingRepeats) + " interleaved repeats of " +
+            std::to_string(timingTrials) + " trials)",
+        {"distribution", "levelized us (median)", "desim us (median)",
+         "speedup (median)", "speedup IQR", "bit-identical"});
+    bool levelizedIdentical = true;
+    bool levelizedFastEnough = true;
+    json.key("levelized_vs_desim").beginObject()
+        .keyValue("fault_rate", 0.02)
+        .keyValue("repeats", timingRepeats)
+        .keyValue("trials_per_repeat",
+                  static_cast<std::uint64_t>(timingTrials))
+        .keyValue("speedup_gate", levelizedSpeedupGate);
+    for (const mc::DistributionKind kind :
+         {mc::DistributionKind::TrixGrid, mc::DistributionKind::HTree}) {
+        const mc::ResilienceScenario scenario =
+            mc::compileResilienceScenario(l, rows, cols, kind, 0.02, rc,
+                                          core::directCompile());
+        const TimingSummary t = timeLevelizedAgainstDesim(scenario, seed);
+        const std::string name = mc::distributionKindName(kind);
+        levelizedIdentical = levelizedIdentical && t.bitIdentical;
+        levelizedFastEnough = levelizedFastEnough &&
+                              t.speedup.median() >= levelizedSpeedupGate;
+        timingTable.addRow({name, Table::fixed(t.levelizedUs.median(), 1),
+                            Table::fixed(t.desimUs.median(), 1),
+                            Table::fixed(t.speedup.median(), 2),
+                            Table::fixed(iqr(t.speedup), 2),
+                            t.bitIdentical ? "yes" : "NO"});
+        json.key(name).beginObject()
+            .keyValue("levelized_us_per_trial_median",
+                      t.levelizedUs.median())
+            .keyValue("levelized_us_per_trial_iqr", iqr(t.levelizedUs))
+            .keyValue("desim_us_per_trial_median", t.desimUs.median())
+            .keyValue("desim_us_per_trial_iqr", iqr(t.desimUs))
+            .keyValue("speedup_median", t.speedup.median())
+            .keyValue("speedup_iqr", iqr(t.speedup))
+            .keyValue("speedup_min", t.speedup.stat().min())
+            .keyValue("bit_identical", t.bitIdentical)
+            .endObject();
+    }
+    json.keyValue("bit_identical", levelizedIdentical)
+        .keyValue("meets_speedup_gate", levelizedFastEnough)
+        .endObject();
+    emitTable(timingTable, opts);
+
     const bool ok = treeAlwaysLoses && gridAlwaysMasks &&
                     gridZeroDegradation && degradationMonotone &&
-                    gridBeatsTree && deterministic;
+                    gridBeatsTree && deterministic && levelizedIdentical &&
+                    levelizedFastEnough;
     json.keyValue("degradation_monotone", degradationMonotone)
         .keyValue("grid_clocked_fraction_beats_tree", gridBeatsTree)
         .keyValue("bit_identical_across_thread_counts", deterministic)
@@ -324,11 +447,14 @@ main(int argc, char **argv)
     std::printf(
         "\nwrote BENCH_fault_tolerance.json (tree lost cells on "
         "%zu/%zu single faults, grid masked %zu/%zu with %s skew "
-        "degradation; sweeps %s across 1/2/8 threads)\n",
+        "degradation; sweeps %s across 1/2/8 threads; levelized trials "
+        "%s desim and %s the %.0fx speedup gate)\n",
         treePass.sites - treePass.masked, treePass.sites,
         gridPass.masked, gridPass.sites,
         gridZeroDegradation ? "zero" : "NONZERO",
-        deterministic ? "bit-identical" : "DIVERGED");
+        deterministic ? "bit-identical" : "DIVERGED",
+        levelizedIdentical ? "match" : "DIVERGE FROM",
+        levelizedFastEnough ? "meet" : "MISS", levelizedSpeedupGate);
     if (!ok)
         std::printf("PROPERTY FAILURE: see "
                     "BENCH_fault_tolerance.json\n");

@@ -2,8 +2,8 @@
 # Tier-1 verify plus sanitizer passes over the concurrent subsystems:
 # ThreadSanitizer, AddressSanitizer and UndefinedBehaviorSanitizer over
 # the parallel Monte-Carlo engine, the blocked skew kernel, the serving
-# layer, the network front end and the reusable desim circuits the
-# fault trials reset between runs. TSan builds run the portable clone
+# layer, the network front end, the desim kernel and the levelized
+# fault trials checked against it. TSan builds run the portable clone
 # of the eight-lane kernel (see VSYNC_LANE_CLONES in common/rng.hh);
 # ASan and UBSan run the clone the host picks. Run from the repo root:
 #

@@ -25,26 +25,9 @@ ClockNet::ClockNet(Simulator &sim, const clocktree::BufferedClockTree &tree,
         });
     }
 
-    // Wire the stages with placeholder delays; reset() draws the real
-    // ones, so construction and reuse share one delay order.
     for (std::size_t i = 1; i < sites.size(); ++i)
         elements.emplace_back(sim, signals[sites[i].parent], signals[i],
-                              EdgeDelays{}, false);
-    reset(delay_of);
-}
-
-void
-ClockNet::reset(const DelayFn &delay_of)
-{
-    const auto &sites = tree.sites();
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-        signals[i].reset();
-        arrivals[i].clear();
-    }
-    for (std::size_t i = 1; i < sites.size(); ++i)
-        elements[i - 1].reset(delay_of(sites[i], i));
-    source.reset();
-    sourceEdges.clear();
+                              delay_of(sites[i], i), false);
 }
 
 Signal &

@@ -44,22 +44,15 @@ class ClockNet
     /**
      * Build the circuit for @p tree on @p sim.
      *
-     * @param delay_of per-site stage delays.
+     * @param delay_of per-site stage delays (called once per non-root
+     *                 site, in site order -- a deterministic order
+     *                 callers may draw variation in).
      */
     ClockNet(Simulator &sim, const clocktree::BufferedClockTree &tree,
              const DelayFn &delay_of);
 
     ClockNet(const ClockNet &) = delete;
     ClockNet &operator=(const ClockNet &) = delete;
-
-    /**
-     * Make the net as good as newly built with @p delay_of: every
-     * signal low and unstuck, every element alive with fresh delays
-     * (drawn in the constructor's site order, so a seeded DelayFn
-     * reproduces a fresh net bit for bit), no recorded arrivals and
-     * no source. Reset the simulator first; the net does not own it.
-     */
-    void reset(const DelayFn &delay_of);
 
     /** The root signal (drive this with a PeriodicClock). */
     Signal &rootSignal() { return signals.front(); }

@@ -7,23 +7,12 @@ namespace vsync::desim
 
 DelayElement::DelayElement(Simulator &sim, Signal &in, Signal &out,
                            EdgeDelays delays, bool invert)
-    : sim(sim), out(out), invert(invert)
-{
-    reset(delays);
-    in.onChange([this](Time t, bool v) { onInput(t, v); });
-}
-
-void
-DelayElement::reset(EdgeDelays delays)
+    : sim(sim), out(out), edgeDelays(delays), invert(invert)
 {
     VSYNC_ASSERT(delays.rise >= 0.0 && delays.fall >= 0.0,
                  "negative element delay (rise=%g fall=%g)",
                  delays.rise, delays.fall);
-    edgeDelays = delays;
-    dead = false;
-    driftScale = 1.0;
-    pending = Pending{};
-    swallowed = 0;
+    in.onChange([this](Time t, bool v) { onInput(t, v); });
 }
 
 void

@@ -102,15 +102,6 @@ class DelayElement
     /** Output transitions swallowed by the inertial filter. */
     std::uint64_t swallowedPulses() const { return swallowed; }
 
-    /**
-     * Start a new run with edge delays @p delays: alive, nominal
-     * drift, nothing pending or swallowed. Jitter and the minimum
-     * pulse width are configuration and stay as set. Only call while
-     * the simulator holds no event of this element (after it ran dry
-     * or was reset).
-     */
-    void reset(EdgeDelays delays);
-
   private:
     Simulator &sim;
     Signal &out;

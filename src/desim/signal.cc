@@ -23,13 +23,4 @@ Signal::forceStuck(Time t, bool v)
     stuck = true;
 }
 
-void
-Signal::reset()
-{
-    current = initialValue;
-    stuck = false;
-    lastChangeTime = -infinity;
-    transitionCount = 0;
-}
-
 } // namespace vsync::desim

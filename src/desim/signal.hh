@@ -29,8 +29,7 @@ class Signal
     using Listener = std::function<void(Time, bool)>;
 
     explicit Signal(std::string name = "", bool initial = false)
-        : signalName(std::move(name)), initialValue(initial),
-          current(initial)
+        : signalName(std::move(name)), current(initial)
     {
     }
 
@@ -69,15 +68,8 @@ class Signal
     /** Signal name (for diagnostics). */
     const std::string &name() const { return signalName; }
 
-    /**
-     * Return to the constructed state: the initial value, not stuck,
-     * no transitions. Listeners stay registered and are not notified.
-     */
-    void reset();
-
   private:
     std::string signalName;
-    bool initialValue;
     bool current;
     bool stuck = false;
     Time lastChangeTime = -infinity;

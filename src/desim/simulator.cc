@@ -24,15 +24,6 @@ Simulator::scheduleAt(Time t, Callback fn)
     std::push_heap(queue.begin(), queue.end(), Later{});
 }
 
-void
-Simulator::reset()
-{
-    queue.clear();
-    currentTime = 0.0;
-    nextSeq = 0;
-    processed = 0;
-}
-
 std::uint64_t
 Simulator::run(Time until)
 {

@@ -67,17 +67,8 @@ class Simulator
     /** True when no events are pending. */
     bool idle() const { return queue.empty(); }
 
-    /** Total events processed since construction (or reset()). */
+    /** Total events processed since construction. */
     std::uint64_t eventsProcessed() const { return processed; }
-
-    /**
-     * Return to the freshly constructed state -- time 0, no pending
-     * events, sequence and event counters at zero -- so a circuit
-     * built once can be driven again with results bit-identical to a
-     * new simulator. The attached probe stays attached, and the event
-     * queue keeps its capacity (a reused simulator stops allocating).
-     */
-    void reset();
 
     /**
      * Attach an observability probe (nullptr detaches). While
@@ -110,8 +101,8 @@ class Simulator
     };
 
     /** Binary heap under Later (std::push_heap / std::pop_heap): a
-     *  plain vector so reset() keeps its capacity and run() can move
-     *  each callback out instead of copying it. */
+     *  plain vector so run() can move each callback out instead of
+     *  copying it. */
     std::vector<Event> queue;
     Time currentTime = 0.0;
     std::uint64_t nextSeq = 0;

@@ -172,74 +172,29 @@ finishOutcome(const core::SkewKernel &kernel, const FaultPlan &plan,
 
 } // namespace
 
-void
-TrialNetwork::treeArrivals(const core::SkewKernel &kernel,
-                           const clocktree::BufferedClockTree &btree,
-                           const desim::ClockNet::DelayFn &delay_of,
-                           const FaultPlan &plan,
-                           std::vector<Time> &cell_arrival)
-{
-    VSYNC_ASSERT(kernel.hasTree(),
-                 "tree fault driver needs a tree-compiled kernel");
-    // Clear the event queue before any element it may point at goes.
-    sim.reset();
-    if (net && netTree == &btree) {
-        net->reset(delay_of);
-    } else {
-        grid.reset();
-        net.reset();
-        net = std::make_unique<desim::ClockNet>(sim, btree, delay_of);
-        netTree = &btree;
-    }
-    FaultInjector injector(sim, plan);
-    injector.armClockNet(*net);
-    net->drive(1.0, 1);
-
-    const std::size_t cells = kernel.cellCount();
-    cell_arrival.assign(cells, infinity);
-    for (CellId c = 0; c < static_cast<CellId>(cells); ++c) {
-        const std::vector<Time> &arr =
-            net->risingArrivals(kernel.nodeOfCell(c));
-        if (!arr.empty())
-            cell_arrival[c] = arr.front();
-    }
-}
-
-void
-TrialNetwork::gridArrivals(const core::SkewKernel &kernel, int rows,
-                           int cols, const TrixGrid::LinkDelayFn &delay_of,
-                           const FaultPlan &plan,
-                           std::vector<Time> &cell_arrival)
-{
-    VSYNC_ASSERT(static_cast<std::size_t>(rows) *
-                         static_cast<std::size_t>(cols) ==
-                     kernel.cellCount(),
-                 "grid %dx%d does not cover %zu cells", rows, cols,
-                 kernel.cellCount());
-    sim.reset();
-    if (grid && grid->rows() == rows && grid->cols() == cols) {
-        grid->reset(delay_of);
-    } else {
-        net.reset();
-        netTree = nullptr;
-        grid.reset();
-        grid = std::make_unique<TrixGrid>(sim, rows, cols, delay_of);
-    }
-    FaultInjector injector(sim, plan);
-    injector.armTrixGrid(*grid);
-    grid->pulse();
-    grid->cellArrivals(cell_arrival);
-}
-
 DistributionOutcome
 simulateTreeUnderFaults(const core::SkewKernel &kernel,
                         const clocktree::BufferedClockTree &btree,
                         const desim::ClockNet::DelayFn &delay_of,
                         const FaultPlan &plan)
 {
+    VSYNC_ASSERT(kernel.hasTree(),
+                 "tree fault driver needs a tree-compiled kernel");
+    desim::Simulator sim;
+    desim::ClockNet net(sim, btree, delay_of);
+    FaultInjector injector(sim, plan);
+    injector.armClockNet(net);
+    net.drive(1.0, 1);
+
     DistributionOutcome out;
-    TrialNetwork().treeArrivals(kernel, btree, delay_of, plan,
-                                out.cellArrival);
+    const std::size_t cells = kernel.cellCount();
+    out.cellArrival.assign(cells, infinity);
+    for (CellId c = 0; c < static_cast<CellId>(cells); ++c) {
+        const std::vector<Time> &arr =
+            net.risingArrivals(kernel.nodeOfCell(c));
+        if (!arr.empty())
+            out.cellArrival[c] = arr.front();
+    }
     finishOutcome(kernel, plan, out);
     return out;
 }
@@ -260,9 +215,19 @@ simulateGridUnderFaults(const core::SkewKernel &kernel, int rows,
                         int cols, const TrixGrid::LinkDelayFn &delay_of,
                         const FaultPlan &plan)
 {
+    VSYNC_ASSERT(static_cast<std::size_t>(rows) *
+                         static_cast<std::size_t>(cols) ==
+                     kernel.cellCount(),
+                 "grid %dx%d does not cover %zu cells", rows, cols,
+                 kernel.cellCount());
+    desim::Simulator sim;
+    TrixGrid grid(sim, rows, cols, delay_of);
+    FaultInjector injector(sim, plan);
+    injector.armTrixGrid(grid);
+    grid.pulse();
+
     DistributionOutcome out;
-    TrialNetwork().gridArrivals(kernel, rows, cols, delay_of, plan,
-                                out.cellArrival);
+    grid.cellArrivals(out.cellArrival);
     finishOutcome(kernel, plan, out);
     return out;
 }

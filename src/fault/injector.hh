@@ -20,7 +20,6 @@
 #ifndef VSYNC_FAULT_INJECTOR_HH
 #define VSYNC_FAULT_INJECTOR_HH
 
-#include <memory>
 #include <vector>
 
 #include "clocktree/buffering.hh"
@@ -130,57 +129,6 @@ simulateTreeUnderFaults(const core::SkewKernel &kernel,
                         const clocktree::BufferedClockTree &btree,
                         const desim::ClockNet::DelayFn &delay_of,
                         const FaultPlan &plan);
-
-/**
- * A faulty-pulse circuit reused across trials. The first trial builds
- * the simulator and the distribution (a ClockNet over a buffered tree,
- * or a TrixGrid); every later trial on the same tree or grid shape
- * resets them with the trial's delays instead of rebuilding -- no
- * signal names, listeners or elements are allocated again. Arrivals
- * are bit-identical to a freshly built circuit: the delays are drawn
- * in the constructor's order, the simulator restarts its event
- * sequence, and every fault's leftover state (dead or drifted stages,
- * stuck nets) is cleared. A different tree (by address) or grid shape
- * rebuilds. The tree is borrowed and must outlive the network.
- *
- * Not thread-safe: one network per thread. Owners keep it no longer
- * than one unit of trials, so memory is not held between requests.
- */
-class TrialNetwork
-{
-  public:
-    TrialNetwork() = default;
-    TrialNetwork(const TrialNetwork &) = delete;
-    TrialNetwork &operator=(const TrialNetwork &) = delete;
-
-    /**
-     * The arrivals-only half of simulateTreeUnderFaults: drive one
-     * faulty pulse through @p btree and fill @p cell_arrival (resized
-     * to kernel.cellCount(); infinity = never clocked) without the
-     * pair-fold reduction. Blocked resilience trials batch several of
-     * these surfaces lane-major and reduce them in one
-     * core::SkewKernel::arrivalSkewBlock pass.
-     */
-    void treeArrivals(const core::SkewKernel &kernel,
-                      const clocktree::BufferedClockTree &btree,
-                      const desim::ClockNet::DelayFn &delay_of,
-                      const FaultPlan &plan,
-                      std::vector<Time> &cell_arrival);
-
-    /** The arrivals-only half of simulateGridUnderFaults (see
-     *  treeArrivals). */
-    void gridArrivals(const core::SkewKernel &kernel, int rows, int cols,
-                      const TrixGrid::LinkDelayFn &delay_of,
-                      const FaultPlan &plan,
-                      std::vector<Time> &cell_arrival);
-
-  private:
-    desim::Simulator sim;
-    /** At most one of net / grid is built at a time. */
-    std::unique_ptr<desim::ClockNet> net;
-    const clocktree::BufferedClockTree *netTree = nullptr;
-    std::unique_ptr<TrixGrid> grid;
-};
 
 /**
  * Convenience overload compiling the kernel per call. Sweeps should

@@ -44,37 +44,14 @@ TrixGrid::TrixGrid(desim::Simulator &sim, int rows, int cols,
                                  pc].out;
                 node.linkOut[k] = &signals.emplace_back(
                     csprintf("trix%d_%d.l%d", r, c, k));
-                // Placeholder delay; reset() draws the real one, so
-                // construction and reuse share one delay order.
                 node.links[k] = &elements.emplace_back(
-                    sim, src, *node.linkOut[k], desim::EdgeDelays{});
+                    sim, src, *node.linkOut[k],
+                    desim::EdgeDelays::same(delay_of(r, c, k)));
                 Node *np = &node;
                 node.linkOut[k]->onChange([np, k](Time t, bool v) {
                     if (v)
                         onLinkRise(*np, k, t);
                 });
-            }
-        }
-    }
-    reset(delay_of);
-}
-
-void
-TrixGrid::reset(const LinkDelayFn &delay_of)
-{
-    root->reset();
-    for (int r = 0; r < gridRows; ++r) {
-        for (int c = 0; c < gridCols; ++c) {
-            Node &node =
-                nodes[static_cast<std::size_t>(r) * gridCols + c];
-            node.out->reset();
-            node.seen = {{0, 0, 0}};
-            node.fired = 0;
-            node.firings.clear();
-            for (int k = 0; k < 3; ++k) {
-                node.linkOut[k]->reset();
-                node.links[k]->reset(
-                    desim::EdgeDelays::same(delay_of(r, c, k)));
             }
         }
     }

@@ -63,15 +63,6 @@ class TrixGrid
     TrixGrid(const TrixGrid &) = delete;
     TrixGrid &operator=(const TrixGrid &) = delete;
 
-    /**
-     * Make the grid as good as newly built with @p delay_of: every net
-     * low and unstuck, every link alive with a fresh delay (drawn in
-     * the constructor's (row, col, k) order, so a seeded LinkDelayFn
-     * reproduces a fresh grid bit for bit), no votes and no firings.
-     * Reset the simulator first; the grid does not own it.
-     */
-    void reset(const LinkDelayFn &delay_of);
-
     int rows() const { return gridRows; }
     int cols() const { return gridCols; }
 

@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "core/skew_kernel.hh"
 #include "fault/injector.hh"
+#include "fault/levelized.hh"
 #include "obs/metrics.hh"
 
 namespace vsync::mc
@@ -36,9 +37,10 @@ namespace
 constexpr std::uint64_t planSalt = 1;
 constexpr std::uint64_t delaySalt = 2;
 
-/** The per-chip tree stage-delay model, shared by the scalar and
- *  blocked trial paths. Captures by reference; consume immediately. */
-desim::ClockNet::DelayFn
+/** The per-chip tree stage-delay model, shared by the desim and
+ *  levelized trial paths (a plain lambda, so the levelized pass
+ *  inlines it). Captures by reference; consume immediately. */
+auto
 treeDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
 {
     return [&rc, &delay_rng](const clocktree::BufferedSite &site,
@@ -53,13 +55,27 @@ treeDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
 
 /** Per-link grid delays from the same model: one buffered unit-pitch
  *  link per stage -- buffer delay plus one lambda of varied wire. */
-fault::TrixGrid::LinkDelayFn
+auto
 gridDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
 {
     return [&rc, &delay_rng](int, int, int) {
         return rc.bufferDelay +
                delay_rng.uniform(rc.delay.lo(), rc.delay.hi());
     };
+}
+
+/** One trial's faulty pulse on a freshly built desim circuit: the
+ *  oracle, and the levelized pass's fallback. */
+fault::DistributionOutcome
+desimTrial(const ResilienceScenario &s, const fault::FaultPlan &plan,
+           Rng &delay_rng)
+{
+    return s.kind == DistributionKind::TrixGrid
+               ? fault::simulateGridUnderFaults(
+                     *s.kernel, s.rows, s.cols, gridDelayFn(s.rc, delay_rng),
+                     plan)
+               : fault::simulateTreeUnderFaults(
+                     *s.kernel, s.btree, treeDelayFn(s.rc, delay_rng), plan);
 }
 
 } // namespace
@@ -78,11 +94,7 @@ ResilienceScenario::runTrial(
     if (kind_counters)
         for (const fault::Fault &f : plan.faults())
             (*kind_counters)[static_cast<std::size_t>(f.kind)]->inc();
-    return kind == DistributionKind::TrixGrid
-               ? fault::simulateGridUnderFaults(
-                     *kernel, rows, cols, gridDelayFn(rc, delay_rng), plan)
-               : fault::simulateTreeUnderFaults(
-                     *kernel, btree, treeDelayFn(rc, delay_rng), plan);
+    return desimTrial(*this, plan, delay_rng);
 }
 
 std::uint64_t
@@ -92,7 +104,7 @@ ResilienceScenario::runTrialBlock(
     std::span<double> out_faults,
     const std::array<obs::Counter *, fault::faultKindCount>
         *kind_counters,
-    std::vector<Time> &lane_scratch) const
+    std::vector<Time> &lane_scratch, obs::Counter *fallbacks) const
 {
     VSYNC_ASSERT(out_skew.size() == count &&
                      out_clocked.size() == count &&
@@ -100,11 +112,18 @@ ResilienceScenario::runTrialBlock(
                  "output spans must cover the %zu range trials", count);
     constexpr std::size_t blockW = core::SkewKernel::blockWidth();
     const std::size_t cells = kernel->cellCount();
-    // The desim pulses stay per-trial (event-driven simulation has no
-    // lanes); only their arrival surfaces are batched, scattered
+    // The net each cell is clocked by: the site of its tree node, or
+    // grid node r * cols + c for cell r * cols + c.
+    std::vector<std::size_t> cellNet(cells);
+    for (std::size_t c = 0; c < cells; ++c)
+        cellNet[c] = kind == DistributionKind::TrixGrid
+                         ? c
+                         : btree.siteOfNode(
+                               kernel->nodeOfCell(static_cast<CellId>(c)));
+    // Each trial's faulty pulse is one levelized pass (no event queue,
+    // no lanes); a block's per-cell arrival surfaces are scattered
     // lane-major and reduced in one blocked pair fold per block.
-    fault::TrialNetwork network;
-    std::vector<Time> arrival;
+    fault::LevelizedPulse pulse;
     std::array<core::ArrivalSkew, blockW> reduced;
     std::uint64_t draws = 0;
     for (std::size_t i = 0; i < count; i += blockW) {
@@ -121,16 +140,26 @@ ResilienceScenario::runTrialBlock(
                 for (const fault::Fault &f : plan.faults())
                     (*kind_counters)[static_cast<std::size_t>(f.kind)]
                         ->inc();
-            if (kind == DistributionKind::TrixGrid)
-                network.gridArrivals(*kernel, rows, cols,
-                                     gridDelayFn(rc, delay_rng), plan,
-                                     arrival);
-            else
-                network.treeArrivals(*kernel, btree,
-                                     treeDelayFn(rc, delay_rng), plan,
-                                     arrival);
-            for (std::size_t c = 0; c < cells; ++c)
-                lane_scratch[c * stride + j] = arrival[c];
+            const bool levelized =
+                kind == DistributionKind::TrixGrid
+                    ? pulse.grid(rows, cols, gridDelayFn(rc, delay_rng),
+                                 plan)
+                    : pulse.tree(btree, treeDelayFn(rc, delay_rng), plan);
+            if (levelized) {
+                for (std::size_t c = 0; c < cells; ++c)
+                    lane_scratch[c * stride + j] =
+                        pulse.firstRise(cellNet[c]);
+            } else {
+                // A same-time tie desim orders by event sequence: run
+                // the trial's own draws on a freshly built circuit.
+                if (fallbacks)
+                    fallbacks->inc();
+                Rng redo = trial_rng.deriveStream(delaySalt);
+                const fault::DistributionOutcome out =
+                    desimTrial(*this, plan, redo);
+                for (std::size_t c = 0; c < cells; ++c)
+                    lane_scratch[c * stride + j] = out.cellArrival[c];
+            }
             out_faults[i + j] = static_cast<double>(plan.size());
             draws += plan_rng.draws() + delay_rng.draws();
         }
@@ -204,6 +233,9 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
                     "mc.resilience.faults." +
                     fault::faultKindName(static_cast<fault::FaultKind>(k)));
     }
+    obs::Counter *fallbacks =
+        cfg.metrics ? &cfg.metrics->counter("mc.resilience.desim_fallbacks")
+                    : nullptr;
 
     ThreadPool pool(cfg.threads);
     runTrialRanges(pool, cfg, [&](std::size_t begin, std::size_t end) {
@@ -214,7 +246,8 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
             {point.maxCommSkew.samples.data() + begin, n},
             {point.clockedFraction.samples.data() + begin, n},
             {faults.data() + begin, n},
-            cfg.metrics ? &kindCounters : nullptr, laneScratch);
+            cfg.metrics ? &kindCounters : nullptr, laneScratch,
+            fallbacks);
     });
     reduceInTrialOrder(point.maxCommSkew);
     reduceInTrialOrder(point.clockedFraction);

@@ -109,9 +109,11 @@ struct ResilienceScenario
     /**
      * One trial, bit-identical for any thread count: draws the fault
      * plan and the wire delays from disjoint substreams of
-     * Rng::forTrial(seed, trial), arms the plan and drives one clock
-     * pulse. @p kind_counters, when set, receives one inc() per
-     * planned fault on the counter of its kind.
+     * Rng::forTrial(seed, trial), arms the plan on a freshly built
+     * desim circuit and drives one clock pulse -- the event-driven
+     * oracle runTrialBlock's levelized pass is tested against.
+     * @p kind_counters, when set, receives one inc() per planned fault
+     * on the counter of its kind.
      */
     fault::DistributionOutcome
     runTrial(std::uint64_t seed, std::uint64_t trial,
@@ -122,16 +124,18 @@ struct ResilienceScenario
      * The trial-range entry point every resilience sweep runs on:
      * trials [first_trial, first_trial + count) for any count, in
      * core::SkewKernel::blockWidth() lane blocks plus one narrower
-     * remainder. Each trial's faulty pulse still runs individually (a
-     * discrete event simulation cannot be lane-blocked) on one
-     * fault::TrialNetwork built per call and reset per trial, but a
-     * block's per-cell arrival surfaces are scattered into a
-     * lane-major matrix and reduced by a single
-     * core::SkewKernel::arrivalSkewBlock call -- trial j's slots are
-     * bitwise what runTrial would have produced, whatever range the
-     * caller cuts. @p lane_scratch is reusable across calls on the
-     * same thread. Returns the RNG draws the range consumed (plan plus
-     * delay substreams).
+     * remainder. Each trial draws the same plan and delays runTrial
+     * does and evaluates its faulty pulse in one levelized pass
+     * (fault::LevelizedPulse) instead of a desim event queue; a
+     * block's per-cell first arrivals go straight into a lane-major
+     * matrix reduced by a single core::SkewKernel::arrivalSkewBlock
+     * call -- trial j's slots are bitwise what runTrial would have
+     * produced, whatever range the caller cuts. A trial whose pass
+     * meets a same-time tie desim orders by event sequence reruns on
+     * a freshly built desim circuit and counts one inc() on
+     * @p fallbacks when set. @p lane_scratch is reusable across calls
+     * on the same thread. Returns the RNG draws the range consumed
+     * (plan plus delay substreams).
      */
     std::uint64_t
     runTrialBlock(std::uint64_t seed, std::uint64_t first_trial,
@@ -140,7 +144,8 @@ struct ResilienceScenario
                   std::span<double> out_faults,
                   const std::array<obs::Counter *, fault::faultKindCount>
                       *kind_counters,
-                  std::vector<Time> &lane_scratch) const;
+                  std::vector<Time> &lane_scratch,
+                  obs::Counter *fallbacks = nullptr) const;
 };
 
 /**
@@ -163,7 +168,9 @@ compileResilienceScenario(const layout::Layout &l, int rows, int cols,
  * disjoint substreams of Rng::forTrial(cfg.seed, i). Each chunk of
  * trials is one ResilienceScenario::runTrialBlock call. When
  * cfg.metrics is set, the sweep metrics of McConfig::metrics are
- * recorded next to the "mc.resilience.faults.<kind>" counters.
+ * recorded next to the "mc.resilience.faults.<kind>" counters and
+ * the "mc.resilience.desim_fallbacks" counter (trials rerun on desim,
+ * see ResilienceScenario::runTrialBlock).
  */
 ResiliencePoint resilienceAtRate(const layout::Layout &l, int rows,
                                  int cols, DistributionKind kind,

@@ -139,10 +139,16 @@ ScenarioServer::stop()
     wakeThreads();
     acceptThread.join();
     {
-        std::lock_guard<std::mutex> lock(connMutex);
-        for (std::thread &t : connThreads)
+        std::vector<std::thread> live;
+        {
+            std::lock_guard<std::mutex> lock(connMutex);
+            for (auto &[id, reader] : readers)
+                live.push_back(std::move(reader));
+            readers.clear();
+            finishedReaders.clear();
+        }
+        for (std::thread &t : live)
             t.join();
-        connThreads.clear();
     }
 
     // 2. Drain: the queue is frozen now (no readers left). Give the
@@ -172,11 +178,8 @@ ScenarioServer::stop()
         t.join();
     dispatchThreads.clear();
 
-    // 4. Every reply has been written; now the sockets may close.
-    {
-        std::lock_guard<std::mutex> lock(connMutex);
-        connections.clear();
-    }
+    // 4. Every reply has been written, so the last references to the
+    //    connections are gone and their sockets closed.
     ::close(listenFd);
     listenFd = -1;
     ::close(wakePipe[0]);
@@ -186,8 +189,28 @@ ScenarioServer::stop()
 }
 
 void
+ScenarioServer::reapReaders()
+{
+    std::vector<std::thread> done;
+    {
+        std::lock_guard<std::mutex> lock(connMutex);
+        for (const std::uint64_t id : finishedReaders) {
+            const auto it = readers.find(id);
+            done.push_back(std::move(it->second));
+            readers.erase(it);
+        }
+        finishedReaders.clear();
+    }
+    // Each has left its critical section; joining waits only for its
+    // last instructions.
+    for (std::thread &t : done)
+        t.join();
+}
+
+void
 ScenarioServer::acceptLoop()
 {
+    bool backingOff = false;
     while (!draining.load()) {
         pollfd fds[2] = {{listenFd, POLLIN, 0},
                          {wakePipe[0], POLLIN, 0}};
@@ -201,13 +224,30 @@ ScenarioServer::acceptLoop()
             break;
         if (!(fds[0].revents & POLLIN))
             continue;
+        reapReaders();
         const int fd = ::accept(listenFd, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR || errno == ECONNABORTED)
                 continue;
+            if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                errno == ENOMEM) {
+                // Out of descriptors or buffers: the connection stays
+                // queued. Wait for readers to end and free some, then
+                // retry; only stop() ends the wait early.
+                if (!backingOff)
+                    warn("net: accept: %s; backing off",
+                         std::strerror(errno));
+                backingOff = true;
+                if (cfg.metrics)
+                    cfg.metrics->counter("net.accept.backoffs").inc();
+                pollfd wake{wakePipe[0], POLLIN, 0};
+                ::poll(&wake, 1, acceptBackoffMs);
+                continue;
+            }
             warn("net: accept failed: %s", std::strerror(errno));
             break;
         }
+        backingOff = false;
         auto conn = std::make_shared<Connection>(fd, cfg.maxLineBytes);
         if (cfg.metrics) {
             conn->link.meter(&cfg.metrics->counter("net.bytes.in"),
@@ -216,14 +256,17 @@ ScenarioServer::acceptLoop()
             cfg.metrics->gauge("net.connections.active").add(1.0);
         }
         std::lock_guard<std::mutex> lock(connMutex);
-        connections.push_back(conn);
-        connThreads.emplace_back(
-            [this, conn] { connectionLoop(conn); });
+        const std::uint64_t id = nextConnId++;
+        readers.emplace(id, std::thread([this, id,
+                                         c = std::move(conn)]() mutable {
+            connectionLoop(id, std::move(c));
+        }));
     }
 }
 
 void
-ScenarioServer::connectionLoop(std::shared_ptr<Connection> conn)
+ScenarioServer::connectionLoop(std::uint64_t id,
+                               std::shared_ptr<Connection> conn)
 {
     std::string line;
     for (;;) {
@@ -304,6 +347,12 @@ ScenarioServer::connectionLoop(std::shared_ptr<Connection> conn)
     }
     if (cfg.metrics)
         cfg.metrics->gauge("net.connections.active").add(-1.0);
+    // Ask the accept loop to join this thread. Returning drops the
+    // reader's reference: the socket closes once the connection's last
+    // admitted request has been answered.
+    std::lock_guard<std::mutex> lock(connMutex);
+    if (readers.count(id) != 0)
+        finishedReaders.push_back(id);
 }
 
 void

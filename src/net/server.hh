@@ -35,8 +35,19 @@
  * already in flight, drain the queue until it is empty and no lane is
  * busy, for up to drainSeconds, then cancel every in-flight batch and
  * expire the stragglers (they answer as Partial). Every response
- * outlives the socket: connection file descriptors close only after
- * every lane wrote its last reply.
+ * outlives the socket: a connection's admitted requests share its
+ * ownership, so its descriptor closes only after every lane wrote its
+ * last reply.
+ *
+ * Connections do not outlive their use: a connection is owned by its
+ * reader thread and its admitted requests, so it closes once its
+ * reader has ended (the peer hung up, or stop()) and its last reply is
+ * written; the accept loop joins finished readers before it starts
+ * the next one. A server with steady connection churn holds
+ * descriptors and threads only for live connections. When accept()
+ * runs out of descriptors (EMFILE, ENFILE) or kernel buffers, the
+ * connection stays queued; the loop backs off for acceptBackoffMs and
+ * retries, so the server keeps accepting once descriptors free up.
  *
  * Requests name their scenario by (scheme, rows, cols); the server
  * builds each layout and clock tree once and keeps it in a catalog
@@ -48,7 +59,8 @@
  * thread reads through it and the lanes write replies through it.
  *
  * Metrics (when cfg.metrics is set) land under "net.*":
- * connections.accepted/active, requests.accepted/shed/bad/completed,
+ * connections.accepted/active, accept.backoffs (accept retries after
+ * running out of descriptors), requests.accepted/shed/bad/completed,
  * request.latency_ms histogram, bytes.in/out (raw socket bytes),
  * catalog.cells gauge -- alongside the embedded service's "serve.*"
  * counters.
@@ -82,6 +94,10 @@ namespace vsync::net
 
 /** stop(): queue-drain budget before stragglers are expired. */
 inline constexpr double drainSeconds = 5.0;
+
+/** Pause before accept() is retried after running out of
+ *  descriptors; stop() cuts it short. */
+inline constexpr int acceptBackoffMs = 50;
 
 /**
  * Scenario catalog bound, in total cells over the resident shapes:
@@ -170,7 +186,9 @@ class ScenarioServer
     };
 
     void acceptLoop();
-    void connectionLoop(std::shared_ptr<Connection> conn);
+    /** Join the readers that ended since the last call. */
+    void reapReaders();
+    void connectionLoop(std::uint64_t id, std::shared_ptr<Connection> conn);
     void dispatchLoop();
     /** Serve one admitted request (on a dispatch lane). */
     void serveOne(Pending &p);
@@ -196,8 +214,12 @@ class ScenarioServer
     /** The dispatch lanes, one per compute thread. */
     std::vector<std::thread> dispatchThreads;
     std::mutex connMutex;
-    std::vector<std::shared_ptr<Connection>> connections;
-    std::vector<std::thread> connThreads;
+    /** Reader threads by connection id; each owns its connection (as
+     *  do the connection's admitted requests). */
+    std::map<std::uint64_t, std::thread> readers;
+    /** Ids of readers that ended and wait to be joined. */
+    std::vector<std::uint64_t> finishedReaders;
+    std::uint64_t nextConnId = 0;
 
     std::mutex queueMutex;
     std::condition_variable queueCv; //!< lanes wait for work

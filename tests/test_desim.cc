@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the discrete-event kernel, signals, delay elements,
- * registers and the periodic clock source, including resetting a
- * built circuit for another run.
+ * registers and the periodic clock source.
  */
 
 #include <gtest/gtest.h>
@@ -305,78 +304,6 @@ TEST(Simulator, ScheduleAtNowRunsInTheSameRunAfterQueuedPeers)
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_DOUBLE_EQ(sim.now(), 1.0);
-}
-
-TEST(Simulator, ResetRestartsTimeEventsAndCounters)
-{
-    Simulator sim;
-    int stale = 0;
-    sim.schedule(1.0, []() {});
-    sim.schedule(4.0, [&stale]() { ++stale; });
-    sim.run(2.0);
-    ASSERT_FALSE(sim.idle());
-
-    sim.reset();
-    EXPECT_TRUE(sim.idle());
-    EXPECT_EQ(sim.now(), 0.0);
-    EXPECT_EQ(sim.eventsProcessed(), 0u);
-    // The pending event is gone, and ties again break by insertion
-    // order from a fresh sequence.
-    std::vector<int> order;
-    for (int i = 0; i < 3; ++i)
-        sim.schedule(0.5, [&order, i]() { order.push_back(i); });
-    EXPECT_EQ(sim.run(), 3u);
-    EXPECT_EQ(stale, 0);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(sim.now(), 0.5);
-}
-
-TEST(Signal, ResetRestoresTheInitialStateAndKeepsListeners)
-{
-    Signal s("s", true);
-    int changes = 0;
-    s.onChange([&changes](Time, bool) { ++changes; });
-    s.set(1.0, false);
-    s.forceStuck(2.0, true);
-    ASSERT_TRUE(s.isStuck());
-
-    s.reset();
-    EXPECT_TRUE(s.value());
-    EXPECT_FALSE(s.isStuck());
-    EXPECT_EQ(s.transitions(), 0u);
-    EXPECT_EQ(s.lastChange(), -infinity);
-    EXPECT_EQ(changes, 2); // reset itself notifies nobody
-    s.set(3.0, false);
-    EXPECT_EQ(changes, 3);
-    EXPECT_FALSE(s.value());
-}
-
-TEST(DelayElement, ResetRevivesAndRetimesTheElement)
-{
-    Simulator sim;
-    Signal in("in"), out("out");
-    DelayElement buf(sim, in, out, {1.0, 1.0}, false);
-    std::vector<Time> rises;
-    out.onChange([&rises](Time t, bool v) {
-        if (v)
-            rises.push_back(t);
-    });
-    buf.setDead(true);
-    buf.setDelayScale(3.0);
-    sim.schedule(0.0, [&in, &sim]() { in.set(sim.now(), true); });
-    sim.run();
-    EXPECT_TRUE(rises.empty());
-
-    sim.reset();
-    in.reset();
-    out.reset();
-    buf.reset({2.5, 4.0});
-    EXPECT_FALSE(buf.isDead());
-    EXPECT_EQ(buf.delayScale(), 1.0);
-    EXPECT_EQ(buf.delays().rise, 2.5);
-    sim.schedule(1.0, [&in, &sim]() { in.set(sim.now(), true); });
-    sim.run();
-    EXPECT_EQ(rises, (std::vector<Time>{3.5}));
 }
 
 TEST(DelayElement, TransportAndInertialEventsLandAtTheSameTimes)

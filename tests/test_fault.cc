@@ -2,13 +2,15 @@
  * @file
  * Tests for the fault-injection subsystem: deterministic fault plans,
  * the injector seams on desim/clocktree/hybrid targets, the TRIX
- * redundant grid's median voting, reused trial circuits against
- * freshly built ones, and the resilience sweeps'
+ * redundant grid's median voting, the levelized faulty-pulse pass
+ * against the desim oracle net by net, and the resilience sweeps'
  * bit-identical-across-threads guarantee.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "clocktree/buffering.hh"
@@ -20,11 +22,13 @@
 #include "desim/simulator.hh"
 #include "fault/fault_plan.hh"
 #include "fault/injector.hh"
+#include "fault/levelized.hh"
 #include "fault/trix_grid.hh"
 #include "hybrid/handshake.hh"
 #include "hybrid/partition.hh"
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
+#include "obs/metrics.hh"
 
 namespace
 {
@@ -306,166 +310,394 @@ TEST(HybridNetwork, SeveredWireStallsOnlyElementsWaitingOnIt)
     EXPECT_GT(alive, 0u);
 }
 
-// --- Reused trial circuits. -----------------------------------------
+// --- Levelized faulty pulses against desim. -------------------------
 
-/**
- * A sequence of plans touching every fault kind, in an order where
- * each plan follows one that left state behind (dead and drifted
- * stages, stuck nets, glitch pulses, faults with a later onset), plus
- * random mixed plans. Sites are taken modulo the universe.
- */
-std::vector<FaultPlan>
-resetOraclePlans(const FaultUniverse &u)
+/** Seeded per-stage variation around the resilience model's delays;
+ *  the stages feeding the sites in @p zero have no delay at all. */
+desim::ClockNet::DelayFn
+variedTreeDelay(Rng &rng, std::vector<std::size_t> zero = {})
 {
-    const auto plan = [](std::initializer_list<Fault> faults) {
-        FaultPlan p;
-        for (const Fault &f : faults)
-            p.add(f);
-        return p;
+    return [&rng, zero](const clocktree::BufferedSite &site,
+                        std::size_t i) {
+        const Time d = site.wireFromParent * rng.uniform(0.045, 0.055) +
+                       (site.isBuffer ? 0.2 : 0.0);
+        const bool none =
+            std::find(zero.begin(), zero.end(), i) != zero.end();
+        return desim::EdgeDelays::same(none ? 0.0 : d);
     };
-    const std::size_t b = u.bufferSites, n = u.clockNets;
-    std::vector<FaultPlan> plans = {
-        FaultPlan(),
-        plan({{FaultKind::DeadBuffer, 1 % b, 0.0, 1.0, false}}),
-        FaultPlan(),
-        plan({{FaultKind::DelayDrift, 2 % b, 0.0, 3.0, false},
-              {FaultKind::DelayDrift, 5 % b, 0.3, 2.0, false}}),
-        plan({{FaultKind::StuckAtNet, 1 % n, 0.0, 1.0, true}}),
-        plan({{FaultKind::StuckAtNet, 2 % n, 0.0, 1.0, false}}),
-        FaultPlan(),
-        plan({{FaultKind::TransientGlitch, 3 % n, 0.5, 0.2, false}}),
-        plan({{FaultKind::TransientGlitch, (n - 1), 0.0, 0.3, false},
-              {FaultKind::DeadBuffer, 4 % b, 0.2, 1.0, false}}),
-        plan({{FaultKind::SeveredHandshakeWire, 0, 0.0, 1.0, false},
-              {FaultKind::StuckAtNet, 4 % n, 0.7, 1.0, true},
-              {FaultKind::DelayDrift, 0, 0.0, 1.5, false}}),
-        FaultPlan(),
-    };
-    Rng rng(0x5eed);
-    for (int k = 0; k < 6; ++k)
-        plans.push_back(
-            FaultPlan::generate(u, FaultRates::mixed(0.08), rng));
-    return plans;
 }
 
-TEST(TrialNetwork, ReusedTreeAndGridMatchFreshCircuitsBitForBit)
+/** The grid counterpart: @p zero lists link indices. */
+TrixGrid::LinkDelayFn
+variedGridDelay(Rng &rng, int cols, std::vector<std::size_t> zero = {})
 {
-    // One TrialNetwork runs every plan of the sequence, alternating
-    // tree and grid (so each kind also survives the other's rebuild);
-    // every arrival surface must equal a freshly built circuit's.
+    return [&rng, cols, zero](int r, int c, int k) {
+        const Time d = 0.2 + rng.uniform(0.045, 0.055);
+        const std::size_t link =
+            (static_cast<std::size_t>(r) * cols + c) * 3 + k;
+        return std::find(zero.begin(), zero.end(), link) != zero.end()
+                   ? 0.0
+                   : d;
+    };
+}
+
+/**
+ * Run @p plan on a freshly built desim ClockNet and on the levelized
+ * pass (both with delays seeded by @p seed) and expect every site's
+ * and every tree node's rising edges to agree. Returns false when the
+ * pass declined (an unordered tie), true otherwise.
+ */
+bool
+treeAgrees(const clocktree::ClockTree &tree,
+           const clocktree::BufferedClockTree &btree, std::uint64_t seed,
+           const FaultPlan &plan, const std::vector<std::size_t> &zero = {})
+{
+    Rng desimRng(seed);
+    desim::Simulator sim;
+    desim::ClockNet net(sim, btree, variedTreeDelay(desimRng, zero));
+    std::vector<std::vector<Time>> siteRises(net.siteCount());
+    for (std::size_t i = 0; i < net.siteCount(); ++i)
+        net.siteSignal(i).onChange([&siteRises, i](Time t, bool v) {
+            if (v)
+                siteRises[i].push_back(t);
+        });
+    FaultInjector(sim, plan).armClockNet(net);
+    net.drive(1.0, 1);
+
+    Rng pulseRng(seed);
+    LevelizedPulse pulse;
+    if (!pulse.tree(btree, variedTreeDelay(pulseRng, zero), plan))
+        return false;
+    EXPECT_EQ(pulseRng.draws(), desimRng.draws());
+    for (std::size_t i = 0; i < net.siteCount(); ++i)
+        EXPECT_EQ(pulse.risingArrivals(i), siteRises[i]) << "site " << i;
+    for (NodeId v = 0; v < static_cast<NodeId>(tree.size()); ++v)
+        EXPECT_EQ(pulse.risingArrivals(btree.siteOfNode(v)),
+                  net.risingArrivals(v))
+            << "node " << v;
+    return true;
+}
+
+/** The grid counterpart: every net's rising edges (node outputs and
+ *  the root) and every node's first arrival. */
+bool
+gridAgrees(int rows, int cols, std::uint64_t seed, const FaultPlan &plan,
+           const std::vector<std::size_t> &zero = {})
+{
+    Rng desimRng(seed);
+    desim::Simulator sim;
+    TrixGrid grid(sim, rows, cols, variedGridDelay(desimRng, cols, zero));
+    const std::size_t nets = grid.nodeCount() + 1;
+    std::vector<std::vector<Time>> netRises(nets);
+    for (std::size_t i = 0; i < nets; ++i)
+        grid.netSignal(i).onChange([&netRises, i](Time t, bool v) {
+            if (v)
+                netRises[i].push_back(t);
+        });
+    FaultInjector(sim, plan).armTrixGrid(grid);
+    grid.pulse();
+
+    Rng pulseRng(seed);
+    LevelizedPulse pulse;
+    if (!pulse.grid(rows, cols, variedGridDelay(pulseRng, cols, zero),
+                    plan))
+        return false;
+    EXPECT_EQ(pulseRng.draws(), desimRng.draws());
+    for (std::size_t i = 0; i < nets; ++i)
+        EXPECT_EQ(pulse.risingArrivals(i), netRises[i]) << "net " << i;
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+            EXPECT_EQ(pulse.firstRise(static_cast<std::size_t>(r) * cols +
+                                      c),
+                      grid.arrival(r, c))
+                << "node " << r << "," << c;
+    return true;
+}
+
+FaultPlan
+planOf(std::initializer_list<Fault> faults)
+{
+    FaultPlan p;
+    for (const Fault &f : faults)
+        p.add(f);
+    return p;
+}
+
+TEST(LevelizedPulse, RandomPlansMatchDesimOnEveryNet)
+{
+    // Every tree and grid fault kind at rates 0.02-0.3, onsets at 0
+    // or spread before, during and after the pulse, glitches narrower
+    // and wider than the clock's high phase. The 16x16 H-tree has 256
+    // zero-delay stages, where same-time ties are the rule.
+    std::size_t trials = 0;
+    for (const int side : {4, 6, 16}) {
+        const layout::Layout l = layout::meshLayout(side, side);
+        const clocktree::ClockTree htree =
+            clocktree::buildHTreeGrid(l, side, side);
+        const clocktree::ClockTree spine = clocktree::buildSpine(l);
+        for (const double rate : {0.02, 0.1, 0.3}) {
+            for (const Time window : {0.0, 6.0}) {
+                FaultRates rates = FaultRates::uniform(rate);
+                rates.onsetWindow = window;
+                for (std::uint64_t t = 0; t < 6; ++t) {
+                    rates.glitchWidth = t % 2 == 0 ? 0.05 : 0.7;
+                    SCOPED_TRACE(testing::Message()
+                                 << side << "x" << side << " rate "
+                                 << rate << " window " << window
+                                 << " trial " << t);
+                    for (const clocktree::ClockTree *tree :
+                         {&htree, &spine}) {
+                        const auto btree =
+                            clocktree::BufferedClockTree::insertBuffers(
+                                *tree, 4.0);
+                        const FaultPlan plan = FaultPlan::forTrial(
+                            universeOf(btree), rates, 11, t);
+                        EXPECT_TRUE(treeAgrees(*tree, btree, 100 + t, plan));
+                    }
+                    const FaultPlan plan = FaultPlan::forTrial(
+                        TrixGrid::universe(side, side), rates, 12, t);
+                    EXPECT_TRUE(gridAgrees(side, side, 200 + t, plan));
+                    trials += 3;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(trials, 324u);
+}
+
+TEST(LevelizedPulse, RootGlitchAndStuckRootRaceTheClockEdges)
+{
+    // Armed faults run before the clock's rise at 0 (and, on the
+    // tree, its fall at 0.5); restores scheduled during the run after.
     const layout::Layout l = layout::meshLayout(8, 8);
     const auto tree = clocktree::buildHTreeGrid(l, 8, 8);
-    const auto btree =
-        clocktree::BufferedClockTree::insertBuffers(tree, 4.0);
-    const core::SkewKernel treeKernel(l, tree);
-    const core::SkewKernel gridKernel(l);
-
-    // Seeded per-stage variation, redrawn identically for both runs.
-    Rng delayRng(0);
-    const desim::ClockNet::DelayFn treeDelay =
-        [&delayRng](const clocktree::BufferedSite &site, std::size_t) {
-            return desim::EdgeDelays::same(
-                site.wireFromParent * delayRng.uniform(0.045, 0.055) +
-                (site.isBuffer ? 0.2 : 0.0));
-        };
-    const TrixGrid::LinkDelayFn gridDelay = [&delayRng](int, int, int) {
-        return 0.2 + delayRng.uniform(0.045, 0.055);
+    const auto btree = clocktree::BufferedClockTree::insertBuffers(tree, 4.0);
+    const std::size_t root = 8 * 8; // the grid's root net
+    const std::vector<FaultPlan> plans = {
+        planOf({{FaultKind::TransientGlitch, 0, 0.0, 0.3, false}}),
+        planOf({{FaultKind::TransientGlitch, 0, 0.0, 0.5, false}}),
+        planOf({{FaultKind::TransientGlitch, 0, 0.5, 0.2, false}}),
+        planOf({{FaultKind::StuckAtNet, 0, 0.0, 1.0, true}}),
+        planOf({{FaultKind::StuckAtNet, 0, 0.0, 1.0, false}}),
+        planOf({{FaultKind::StuckAtNet, 0, 0.5, 1.0, true}}),
+        planOf({{FaultKind::StuckAtNet, 0, 0.0, 1.0, false},
+                {FaultKind::TransientGlitch, 0, 0.0, 0.3, false}}),
+        planOf({{FaultKind::TransientGlitch, 0, 0.0, 0.3, false},
+                {FaultKind::StuckAtNet, 0, 0.0, 1.0, true}}),
+        // A later stuck-at overrides an earlier one.
+        planOf({{FaultKind::StuckAtNet, 0, 0.0, 1.0, false},
+                {FaultKind::StuckAtNet, 0, 0.3, 1.0, true}}),
     };
-
-    const std::vector<FaultPlan> treePlans =
-        resetOraclePlans(universeOf(btree));
-    const std::vector<FaultPlan> gridPlans =
-        resetOraclePlans(TrixGrid::universe(8, 8));
-
-    TrialNetwork reused;
-    std::vector<Time> fresh, again;
-    for (int pass = 0; pass < 2; ++pass) {
-        for (std::size_t k = 0; k < treePlans.size(); ++k) {
-            delayRng = Rng::forTrial(17, k);
-            TrialNetwork().treeArrivals(treeKernel, btree, treeDelay,
-                                        treePlans[k], fresh);
-            delayRng = Rng::forTrial(17, k);
-            reused.treeArrivals(treeKernel, btree, treeDelay,
-                                treePlans[k], again);
-            EXPECT_EQ(again, fresh) << "tree plan " << k;
-
-            if (pass == 1 && k % 3 != 0)
-                continue; // second pass: several tree trials in a row
-            delayRng = Rng::forTrial(18, k);
-            TrialNetwork().gridArrivals(gridKernel, 8, 8, gridDelay,
-                                        gridPlans[k], fresh);
-            delayRng = Rng::forTrial(18, k);
-            reused.gridArrivals(gridKernel, 8, 8, gridDelay,
-                                gridPlans[k], again);
-            EXPECT_EQ(again, fresh) << "grid plan " << k;
-        }
+    for (std::size_t k = 0; k < plans.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "plan " << k);
+        EXPECT_TRUE(treeAgrees(tree, btree, 7, plans[k]));
+    }
+    const std::vector<FaultPlan> gridPlans = {
+        planOf({{FaultKind::TransientGlitch, root, 0.0, 0.3, false}}),
+        planOf({{FaultKind::StuckAtNet, root, 0.0, 1.0, true}}),
+        planOf({{FaultKind::StuckAtNet, root, 0.0, 1.0, false}}),
+        planOf({{FaultKind::TransientGlitch, root, 0.0, 0.3, false},
+                {FaultKind::TransientGlitch, 0, 0.0, 0.1, false}}),
+    };
+    for (std::size_t k = 0; k < gridPlans.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "grid plan " << k);
+        EXPECT_TRUE(gridAgrees(8, 8, 8, gridPlans[k]));
     }
 }
 
-TEST(TrialNetwork, ResetStructuresMatchFreshOnesThroughTheirOwnApi)
+TEST(LevelizedPulse, StuckHighParentOverAZeroDelayChildFollowsPlanOrder)
 {
-    // The same oracle one layer down: a ClockNet and a TrixGrid reset
-    // in place (simulator first) replay every plan like new ones.
+    // An onset-0 stuck-high pushes its rise into the stage below while
+    // the plan is armed, at its turn in plan order: a dead or drifted
+    // stage armed before it sees the rise, one armed after does not,
+    // and through a zero-delay stage the pushed rise lands at 0 in
+    // plan order among the child's own armed faults.
+    const layout::Layout l = layout::meshLayout(8, 8);
+    const auto tree = clocktree::buildHTreeGrid(l, 8, 8);
+    const auto btree = clocktree::BufferedClockTree::insertBuffers(tree, 4.0);
+    const auto &sites = btree.sites();
+    // A site s below a non-root parent p, with a child c of its own.
+    std::size_t s = 0, c = 0;
+    for (std::size_t i = 2; i < sites.size() && c == 0; ++i)
+        if (sites[i].parent != 0 && sites[sites[i].parent].parent != 0)
+            for (std::size_t j = i + 1; j < sites.size(); ++j)
+                if (static_cast<std::size_t>(sites[j].parent) == i) {
+                    s = i;
+                    c = j;
+                    break;
+                }
+    ASSERT_NE(c, 0u);
+    const std::size_t p = sites[s].parent;
+    const Fault stuckP{FaultKind::StuckAtNet, p, 0.0, 1.0, true};
+    const Fault glitchS{FaultKind::TransientGlitch, s, 0.0, 0.1, false};
+    const Fault glitchC{FaultKind::TransientGlitch, c, 0.0, 0.15, false};
+    const Fault deadS{FaultKind::DeadBuffer, s - 1, 0.0, 1.0, false};
+    const Fault driftS{FaultKind::DelayDrift, s - 1, 0.0, 2.5, false};
+    const Fault stuckLowC{FaultKind::StuckAtNet, c, 0.0, 1.0, false};
+    const std::vector<FaultPlan> plans = {
+        planOf({stuckP, glitchS}),         planOf({glitchS, stuckP}),
+        planOf({stuckP, glitchS, glitchC}), planOf({glitchC, stuckP, glitchS}),
+        planOf({deadS, stuckP, glitchS}),  planOf({stuckP, deadS, glitchS}),
+        planOf({driftS, stuckP}),          planOf({stuckP, driftS}),
+        planOf({stuckP, stuckLowC, glitchS}),
+        planOf({stuckP, glitchS,
+                {FaultKind::StuckAtNet, s, 0.05, 1.0, false}}),
+    };
+    for (const bool zeroChain : {false, true}) {
+        const std::vector<std::size_t> zero =
+            zeroChain ? std::vector<std::size_t>{s, c}
+                      : std::vector<std::size_t>{s};
+        for (std::size_t k = 0; k < plans.size(); ++k) {
+            SCOPED_TRACE(testing::Message()
+                         << "plan " << k << " zero chain " << zeroChain);
+            EXPECT_TRUE(treeAgrees(tree, btree, 9, plans[k], zero));
+            // The same plans with real delays everywhere.
+            EXPECT_TRUE(treeAgrees(tree, btree, 9, plans[k]));
+        }
+    }
+
+    // Grid: two onset-0 stuck-high nodes over zero-delay links fire
+    // the node below them at 0, racing that node's own armed glitch.
+    const std::size_t below = 1 * 8 + 3; // node (1, 3)
+    const std::vector<std::size_t> zeroLinks = {below * 3 + 0,
+                                                below * 3 + 1};
+    const Fault stuck2{FaultKind::StuckAtNet, 2, 0.0, 1.0, true};
+    const Fault stuck3{FaultKind::StuckAtNet, 3, 0.0, 1.0, true};
+    const Fault glitchBelow{FaultKind::TransientGlitch, below, 0.0, 0.1,
+                            false};
+    const Fault deadLink{FaultKind::DeadBuffer, below * 3 + 1, 0.0, 1.0,
+                         false};
+    const std::vector<FaultPlan> gridPlans = {
+        planOf({stuck2, stuck3, glitchBelow}),
+        planOf({glitchBelow, stuck2, stuck3}),
+        planOf({stuck2, glitchBelow, stuck3}),
+        planOf({stuck2, deadLink, stuck3, glitchBelow}),
+        planOf({deadLink, stuck2, stuck3, glitchBelow}),
+    };
+    for (std::size_t k = 0; k < gridPlans.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "grid plan " << k);
+        EXPECT_TRUE(gridAgrees(8, 8, 10, gridPlans[k], zeroLinks));
+    }
+}
+
+TEST(LevelizedPulse, UnorderedRunTimeTieDeclines)
+{
+    // A glitch on the root's child, armed at 0 with exactly the child's
+    // stage delay as its width: its restore and the clock's rise reach
+    // the child at the same time, both scheduled during the run at 0.
+    // That order is desim's event sequence, not structure: decline.
     const layout::Layout l = layout::meshLayout(4, 4);
     const auto tree = clocktree::buildHTreeGrid(l, 4, 4);
-    const auto btree =
-        clocktree::BufferedClockTree::insertBuffers(tree, 2.0);
-    const desim::ClockNet::DelayFn treeDelay =
-        [](const clocktree::BufferedSite &site, std::size_t i) {
+    const auto btree = clocktree::BufferedClockTree::insertBuffers(tree, 4.0);
+    const desim::ClockNet::DelayFn fixed =
+        [](const clocktree::BufferedSite &site, std::size_t) {
             return desim::EdgeDelays::same(site.wireFromParent * 0.05 +
-                                           0.001 * static_cast<double>(i % 7));
+                                           (site.isBuffer ? 0.2 : 0.0));
         };
-    const TrixGrid::LinkDelayFn gridDelay = [](int r, int c, int k) {
-        return 0.25 + 0.01 * ((r * 5 + c * 3 + k) % 4);
+    std::size_t child = 1;
+    while (btree.sites()[child].parent != 0)
+        ++child;
+    const Time width = fixed(btree.sites()[child], child).rise;
+    LevelizedPulse pulse;
+    EXPECT_FALSE(pulse.tree(
+        btree, fixed,
+        planOf({{FaultKind::TransientGlitch, child, 0.0, width, false}})));
+    // The workspace stays usable: the next trial runs normally.
+    EXPECT_TRUE(pulse.tree(btree, fixed, FaultPlan()));
+    EXPECT_TRUE(std::isfinite(pulse.firstRise(child)));
+}
+
+TEST(Resilience, UnorderedTiesFallBackToDesimAndAreCounted)
+{
+    // Every net glitched at 0 for exactly the root child's stage delay,
+    // with no delay variation: each trial meets the tie above, reruns
+    // on desim and still matches runTrial.
+    const layout::Layout l = layout::meshLayout(6, 6);
+    mc::ResilienceScenario scenario = mc::compileResilienceScenario(
+        l, 6, 6, mc::DistributionKind::HTree, 0.0, mc::ResilienceConfig{},
+        core::directCompile());
+    scenario.rc.delay = core::WireDelay{0.05, 0.0};
+    const auto &sites = scenario.btree.sites();
+    std::size_t child = 1;
+    while (sites[child].parent != 0)
+        ++child;
+    scenario.rates = FaultRates{};
+    scenario.rates.transientGlitch = 1.0;
+    scenario.rates.glitchWidth =
+        sites[child].wireFromParent * scenario.rc.delay.lo() +
+        (sites[child].isBuffer ? scenario.rc.bufferDelay : 0.0);
+
+    obs::MetricsRegistry reg;
+    obs::Counter &fallbacks = reg.counter("mc.resilience.desim_fallbacks");
+    const std::size_t n = 9;
+    std::vector<double> skew(n), clocked(n), faults(n);
+    std::vector<Time> laneScratch;
+    scenario.runTrialBlock(5, 0, n, skew, clocked, faults, nullptr,
+                           laneScratch, &fallbacks);
+    EXPECT_EQ(fallbacks.value(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const DistributionOutcome ref = scenario.runTrial(5, j);
+        EXPECT_EQ(skew[j], ref.maxCommSkew) << "trial " << j;
+        EXPECT_EQ(clocked[j], ref.clockedFraction) << "trial " << j;
+        EXPECT_EQ(faults[j], static_cast<double>(ref.faultCount));
+    }
+}
+
+TEST(Resilience, ServedProfilesNeverFallBackAndMatchRunTrial)
+{
+    // The shapes the benchmark serves: fleet-sweep's 16x16 TRIX grid,
+    // H-tree and spine at rate 0.02, and wire-mix's 6x6 H-tree and
+    // TRIX grid at rate 0.05. Every trial stays on the levelized pass
+    // and reproduces the desim oracle bit for bit.
+    struct Profile
+    {
+        int side;
+        mc::DistributionKind kind;
+        double rate;
+        std::size_t trials;
     };
+    const Profile profiles[] = {
+        {16, mc::DistributionKind::TrixGrid, 0.02, 2048},
+        {16, mc::DistributionKind::HTree, 0.02, 2048},
+        {16, mc::DistributionKind::Spine, 0.02, 2048},
+        {6, mc::DistributionKind::HTree, 0.05, 512},
+        {6, mc::DistributionKind::TrixGrid, 0.05, 512},
+    };
+    for (const Profile &pr : profiles) {
+        SCOPED_TRACE(mc::distributionKindName(pr.kind) + " " +
+                     std::to_string(pr.side));
+        const layout::Layout l = layout::meshLayout(pr.side, pr.side);
+        const mc::ResilienceConfig rc;
+        obs::MetricsRegistry reg;
+        mc::McConfig cfg;
+        cfg.trials = pr.trials;
+        cfg.seed = 0x5e12;
+        cfg.threads = 4;
+        cfg.metrics = &reg;
+        const mc::ResiliencePoint point = mc::resilienceAtRate(
+            l, pr.side, pr.side, pr.kind, pr.rate, rc, cfg);
+        EXPECT_EQ(reg.counter("mc.resilience.desim_fallbacks").value(), 0u);
 
-    desim::Simulator netSim, gridSim;
-    desim::ClockNet net(netSim, btree, treeDelay);
-    TrixGrid grid(gridSim, 4, 4, gridDelay);
-    const std::vector<FaultPlan> treePlans =
-        resetOraclePlans(universeOf(btree));
-    const std::vector<FaultPlan> gridPlans =
-        resetOraclePlans(grid.universe());
-    for (std::size_t k = 0; k < treePlans.size(); ++k) {
-        if (k > 0) {
-            netSim.reset();
-            net.reset(treeDelay);
-            gridSim.reset();
-            grid.reset(gridDelay);
+        const mc::ResilienceScenario scenario =
+            mc::compileResilienceScenario(l, pr.side, pr.side, pr.kind,
+                                          pr.rate, rc,
+                                          core::directCompile());
+        std::size_t mismatches = 0;
+        for (std::size_t t = 0; t < pr.trials; ++t) {
+            const DistributionOutcome ref = scenario.runTrial(cfg.seed, t);
+            mismatches +=
+                point.maxCommSkew.samples[t] != ref.maxCommSkew ||
+                point.clockedFraction.samples[t] != ref.clockedFraction;
         }
-        desim::Simulator freshNetSim, freshGridSim;
-        desim::ClockNet freshNet(freshNetSim, btree, treeDelay);
-        TrixGrid freshGrid(freshGridSim, 4, 4, gridDelay);
-
-        FaultInjector(netSim, treePlans[k]).armClockNet(net);
-        FaultInjector(freshNetSim, treePlans[k]).armClockNet(freshNet);
-        net.drive(1.0, 2);
-        freshNet.drive(1.0, 2);
-        for (NodeId v = 0; v < static_cast<NodeId>(tree.size()); ++v)
-            EXPECT_EQ(net.risingArrivals(v), freshNet.risingArrivals(v))
-                << "plan " << k << " node " << v;
-        EXPECT_EQ(netSim.eventsProcessed(), freshNetSim.eventsProcessed())
-            << "plan " << k;
-
-        FaultInjector(gridSim, gridPlans[k]).armTrixGrid(grid);
-        FaultInjector(freshGridSim, gridPlans[k]).armTrixGrid(freshGrid);
-        grid.pulse();
-        freshGrid.pulse();
-        std::vector<Time> got, want;
-        grid.cellArrivals(got);
-        freshGrid.cellArrivals(want);
-        EXPECT_EQ(got, want) << "plan " << k;
-        EXPECT_EQ(gridSim.eventsProcessed(),
-                  freshGridSim.eventsProcessed())
-            << "plan " << k;
+        EXPECT_EQ(mismatches, 0u);
     }
 }
 
 TEST(Resilience, RunTrialBlockOverAnyRangeMatchesRunTrial)
 {
     // Ranges of every length, including ones above maxLanes that run
-    // as several lane blocks on the call's one network, equal the
-    // per-trial fresh-circuit path on the tree, spine and grid.
+    // as several lane blocks, equal the per-trial desim path on the
+    // tree, spine and grid.
     const layout::Layout l = layout::meshLayout(6, 6);
     const mc::ResilienceConfig rc;
     std::vector<Time> laneScratch;

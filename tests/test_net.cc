@@ -4,8 +4,8 @@
  * rejection of malformed requests), the loopback server (bit-identity
  * with direct SweepService runs at several pool widths and on
  * concurrent dispatch lanes, admission control under burst, deadline
- * propagation, graceful shutdown, the bounded scenario catalog), the
- * LineConn framing every wire peer reads and writes through, and the
+ * propagation, graceful shutdown, the bounded scenario catalog,
+ * connection churn and descriptor exhaustion), the LineConn framing every wire peer reads and writes through, and the
  * open-loop load generator's request accounting.
  */
 
@@ -13,12 +13,16 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <fcntl.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -537,6 +541,118 @@ TEST(Server, InfoPingReportsProtocolAndPoolShape)
     server.stop();
 }
 
+/** Entries of a /proc/self directory (open descriptors, threads). */
+std::size_t
+procEntries(const char *dir)
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator(dir))
+        ++n;
+    return n;
+}
+
+/** One connect / info / close cycle; true when the ping was answered. */
+bool
+infoCycle(std::uint16_t port)
+{
+    TestClient client(port);
+    if (!client.connected() || !client.sendLine("{\"id\":1,\"kind\":\"info\"}"))
+        return false;
+    return !client.recvLine(10000).empty();
+}
+
+TEST(Server, ClosedConnectionsReleaseTheirDescriptorsAndThreads)
+{
+    // Each finished connection's socket closes and its reader thread
+    // is joined, so churn does not accumulate either.
+    net::ScenarioServer server(net::ServerConfig{.computeThreads = 1});
+    ASSERT_TRUE(server.start());
+    ASSERT_TRUE(infoCycle(server.port()));
+    const std::size_t fds0 = procEntries("/proc/self/fd");
+    const std::size_t threads0 = procEntries("/proc/self/task");
+    for (int i = 0; i < 300; ++i)
+        ASSERT_TRUE(infoCycle(server.port())) << "cycle " << i;
+    // The last readers may still be noticing their peer's close.
+    const auto settled = [&] {
+        return procEntries("/proc/self/fd") <= fds0 + 4 &&
+               procEntries("/proc/self/task") <= threads0 + 4;
+    };
+    for (int wait = 0; wait < 200 && !settled(); ++wait)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_LE(procEntries("/proc/self/fd"), fds0 + 4);
+    EXPECT_LE(procEntries("/proc/self/task"), threads0 + 4);
+    server.stop();
+}
+
+/**
+ * The forked child of AcceptSurvivesRunningOutOfDescriptors: exits 0
+ * when its server, after accept() hit the descriptor limit, still
+ * answers the connection that hit it and a fresh one.
+ */
+[[noreturn]] void
+exhaustDescriptorsInChild()
+{
+    alarm(60); // never outlive a hung server
+    const auto fail = [](int code) { _exit(code); };
+    obs::MetricsRegistry reg;
+    net::ScenarioServer server(
+        net::ServerConfig{.computeThreads = 1, .metrics = &reg});
+    if (!server.start())
+        fail(2);
+    // Lower this process's descriptor limit a little above what is
+    // open, then fill the table up to it.
+    rlimit lim{};
+    ::getrlimit(RLIMIT_NOFILE, &lim);
+    lim.rlim_cur = procEntries("/proc/self/fd") + 16;
+    if (::setrlimit(RLIMIT_NOFILE, &lim) != 0)
+        fail(3);
+    std::vector<int> filler;
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;)
+        filler.push_back(fd);
+    if (errno != EMFILE || filler.empty())
+        fail(4);
+    // Free one slot for our own socket: the server's accept() for it
+    // finds no descriptor left.
+    ::close(filler.back());
+    filler.pop_back();
+    TestClient first(server.port());
+    if (!first.connected())
+        fail(5);
+    obs::Counter &backoffs = reg.counter("net.accept.backoffs");
+    for (int wait = 0; wait < 5000 && backoffs.value() == 0; ++wait)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (backoffs.value() == 0)
+        fail(6);
+    for (const int fd : filler)
+        ::close(fd);
+    // The queued connection is accepted after all, and so is a new one.
+    if (!first.sendLine("{\"id\":1,\"kind\":\"info\"}") ||
+        first.recvLine(10000).empty())
+        fail(7);
+    if (!infoCycle(server.port()))
+        fail(8);
+    server.stop();
+    _exit(0);
+}
+
+TEST(Server, AcceptSurvivesRunningOutOfDescriptors)
+{
+    // A child process lowers its own RLIMIT_NOFILE and exhausts it
+    // under a live server; the limit never touches this process.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0)
+        exhaustDescriptorsInChild();
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "child died, status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "2 start, 3 setrlimit, 4 fill, 5 connect, 6 no backoff, "
+           "7 queued connection unanswered, 8 fresh connection "
+           "unanswered";
+}
+
 TEST(Server, GracefulStopDrainsInFlightThenRefusesConnections)
 {
     obs::MetricsRegistry reg;
@@ -699,13 +815,14 @@ TEST(Server, TwoLanesServePipelinedConnectionsByteIdentically)
     using K = net::QueryKind;
     using S = net::WireScheme;
     // Each request computes for milliseconds, so the lanes stay busy
-    // long after the last line is admitted.
+    // long after the last line is admitted (levelized fault trials
+    // take ~10 us at 8x8, hence the larger resilience counts).
     const std::vector<net::WireRequest> mix = {
-        make(K::Resilience, S::Trix, 8, 128, 128),
+        make(K::Resilience, S::Trix, 8, 1024, 1024),
         make(K::Skew, S::HTree, 16, 256, 256),
-        make(K::Resilience, S::HTree, 8, 96, 96),
+        make(K::Resilience, S::HTree, 8, 768, 768),
         make(K::Skew, S::Spine, 16, 192, 192),
-        make(K::Resilience, S::Trix, 8, 96, 8), // 12 units
+        make(K::Resilience, S::Trix, 8, 768, 64), // 12 units
     };
     constexpr std::size_t connections = 2;
     constexpr std::size_t perConnection = 20;

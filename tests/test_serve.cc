@@ -237,11 +237,12 @@ TEST(SweepService, DeadlinedPartialResultsMatchTheFullRunPrefix)
 {
     // A batch too slow for its deadline must come back Partial with
     // every completed trial bit-identical to the full run -- partial
-    // means "fewer trials", never "different trials".
+    // means "fewer trials", never "different trials". (A levelized
+    // 6x6 trial takes ~10 us, so it takes this many to outlast 30 ms.)
     const layout::Layout l = layout::meshLayout(6, 6);
     mc::McConfig cfg;
     cfg.seed = 1234;
-    cfg.trials = 1500;
+    cfg.trials = 20000;
     cfg.grain = 1;
     mc::ResilienceConfig rc;
     serve::ResilienceRequest rq;
