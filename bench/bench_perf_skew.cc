@@ -7,8 +7,9 @@
  * host (including 1-CPU CI containers):
  *
  *  - per-query: s(a, b) over every communicating pair via the naive
- *    parent-climb nca (ClockTree::treeDistance) versus the kernel's
- *    Euler-tour sparse table (SkewKernel::treeDistance), with a
+ *    depth-aligned climb (ClockTree::treeDistance over
+ *    graph::RootedTree::nca) versus the kernel's id-ordered climb over
+ *    its flat parent array (SkewKernel::treeDistance), with a
  *    results-equal check;
  *  - per-sweep: 64 serial Monte-Carlo chips via the retained naive
  *    path (core::sampleSkewInstance, which re-resolves the scenario
@@ -18,9 +19,11 @@
  *    timing includes its compile, so the speedup is what a sweep
  *    actually sees.
  *
- * Exit status is the CI gate: nonzero when results diverge or the
- * per-sweep serial speedup falls below 2x. Results go to stdout as
- * tables and to BENCH_perf_skew.json for the perf trajectory.
+ * Exit status is the CI gate: nonzero when results diverge, the
+ * per-sweep serial speedup falls below 2x, or the kernel's footprint
+ * (SkewKernel::bytes) exceeds 32 bytes per tree node plus 48 per
+ * comm pair. Results go to stdout as tables and to
+ * BENCH_perf_skew.json for the perf trajectory.
  */
 
 #include <chrono>
@@ -43,6 +46,8 @@ constexpr int meshSide = 32;
 constexpr std::size_t sweepTrials = 64;
 constexpr int reps = 3;
 constexpr double minSweepSpeedup = 2.0;
+constexpr std::size_t bytesPerNode = 32;
+constexpr std::size_t bytesPerPair = 48;
 const core::WireDelay delay{0.05, 0.005};
 
 /** Wall-clock milliseconds of @p fn, best of `reps` runs. */
@@ -82,7 +87,7 @@ main(int argc, char **argv)
     json.keyValue("layout", "mesh32x32")
         .keyValue("reps_per_point", reps);
 
-    // --- Per-query: naive parent-climb nca vs O(1) sparse table. ----
+    // --- Per-query: naive climb vs the kernel's id-ordered climb. ---
     const std::size_t pairs = kernel.pairCount();
     const auto &pa = kernel.pairNodesA();
     const auto &pb = kernel.pairNodesB();
@@ -105,9 +110,11 @@ main(int argc, char **argv)
     bench::headline("per-query: s(a, b) over all communicating pairs");
     Table queryTable("treeDistance over comm pairs (32x32 H-tree)",
                      {"path", "best ms", "speedup", "sum s"});
-    queryTable.addRow({"naive parent-climb", Table::num(query_naive_ms),
-                       "1.00", Table::num(naive_sum)});
-    queryTable.addRow({"kernel O(1) nca", Table::num(query_kernel_ms),
+    queryTable.addRow({"naive depth-aligned climb",
+                       Table::num(query_naive_ms), "1.00",
+                       Table::num(naive_sum)});
+    queryTable.addRow({"kernel id-ordered climb",
+                       Table::num(query_kernel_ms),
                        Table::num(query_speedup),
                        Table::num(kernel_sum)});
     emitTable(queryTable, opts);
@@ -173,22 +180,29 @@ main(int argc, char **argv)
         .keyValue("nodes", static_cast<std::uint64_t>(kernel.nodeCount()))
         .keyValue("pairs", static_cast<std::uint64_t>(kernel.pairCount()))
         .keyValue("build_ms", kernel.buildMillis())
+        .keyValue("bytes", static_cast<std::uint64_t>(kernel.bytes()))
         .keyValue("queries_served", kernel.queriesServed())
         .keyValue("arrival_batches", kernel.arrivalBatches())
         .endObject();
 
+    const std::size_t max_bytes = bytesPerNode * kernel.nodeCount() +
+                                  bytesPerPair * kernel.pairCount();
+    const bool footprint_ok = kernel.bytes() <= max_bytes;
     const bool gate_ok =
         queries_equal && sweep_identical &&
-        sweep_speedup >= minSweepSpeedup;
+        sweep_speedup >= minSweepSpeedup && footprint_ok;
     json.key("gate").beginObject()
         .keyValue("min_sweep_speedup", minSweepSpeedup)
+        .keyValue("max_bytes", static_cast<std::uint64_t>(max_bytes))
         .keyValue("passed", gate_ok)
         .endObject();
 
     std::printf("\nwrote BENCH_perf_skew.json (per-query %.2fx, "
-                "per-sweep %.2fx vs %.1fx gate; results %s)\n",
+                "per-sweep %.2fx vs %.1fx gate; results %s; kernel "
+                "%zu bytes vs %zu budget)\n",
                 query_speedup, sweep_speedup, minSweepSpeedup,
                 queries_equal && sweep_identical ? "identical"
-                                                 : "DIVERGED");
+                                                 : "DIVERGED",
+                kernel.bytes(), max_bytes);
     return gate_ok ? 0 : 1;
 }

@@ -14,9 +14,9 @@
  *  - per-node parent index and wire length, in topological id order
  *    (ClockTree creates nodes parent-before-child; the build verifies
  *    parent(v) < v so a forward pass IS a topological traversal),
- *  - per-node root-path length h as a prefix array,
- *  - an Euler tour + sparse table answering nca() in O(1) per pair
- *    (the naive RootedTree::nca climbs parents, O(depth) per pair),
+ *  - per-node root-path length h as a prefix array (nca() climbs the
+ *    parent array, so no ancestor tables are kept: the trial paths
+ *    never ask for a common ancestor, only skew analysis does),
  *  - the communicating pairs as four flat endpoint arrays (tree-node
  *    ids and cell ids), in layout::Layout::comm() undirectedEdges()
  *    order -- the order every pre-kernel surface used, so results are
@@ -141,9 +141,13 @@ class SkewKernel
     Length rootPathLength(NodeId v) const { return h[v]; }
 
     /**
-     * Nearest common ancestor in O(1) via the Euler-tour sparse table.
-     * Agrees with the naive parent-climb graph::RootedTree::nca on
-     * every pair (property-tested on randomized trees).
+     * Nearest common ancestor by climbing the parent array: while
+     * a != b, the larger id steps to its parent. Correct because
+     * compile asserts parent(v) < v, so a larger id is never an
+     * ancestor of a smaller one. Costs O(hops) per pair, the tree
+     * path length in edges (one hop on a spine over a linear layout).
+     * Agrees with graph::RootedTree::nca on every pair
+     * (property-tested on randomized and builder trees).
      */
     NodeId nca(NodeId a, NodeId b) const;
 
@@ -293,6 +297,10 @@ class SkewKernel
     /** Wall-clock milliseconds the compile took. */
     double buildMillis() const { return buildMs; }
 
+    /** Heap bytes the kernel holds: the summed capacity of its
+     *  arrays (the object itself and allocator overhead excluded). */
+    std::size_t bytes() const;
+
     /** Pair-level queries served so far (batch calls count every pair
      *  they fold; per-pair calls count one each). Relaxed counter --
      *  exact under any thread schedule. */
@@ -309,7 +317,7 @@ class SkewKernel
 
     /**
      * Export kernel stats as gauges under @p prefix: nodes, pairs,
-     * build_ms, queries_served, arrival_batches. build_ms is wall
+     * build_ms, bytes, queries_served, arrival_batches. build_ms is wall
      * clock and therefore not bit-stable across runs; tests asserting
      * registry bit-identity should compare the other gauges.
      */
@@ -332,13 +340,6 @@ class SkewKernel
     std::vector<Length> wireLen;
     std::vector<Length> h;       // root-path length prefix array
     std::vector<NodeId> nodeOf;  // indexed by CellId
-
-    // Euler-tour sparse-table NCA.
-    std::vector<std::int32_t> eulerNode;  // node at tour position
-    std::vector<std::int32_t> eulerDepth; // its depth
-    std::vector<std::int32_t> firstSeen;  // node -> first tour position
-    std::vector<std::int32_t> logTable;   // floor(log2(len))
-    std::vector<std::vector<std::int32_t>> sparse; // min-depth positions
 
     // Comm-pair endpoints, undirectedEdges() order -- the public,
     // order-contracted view (SkewReport edges, SkewInstance::edgeSkew).

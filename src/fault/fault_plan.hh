@@ -158,6 +158,11 @@ class FaultPlan
     /** True when nothing breaks. */
     bool empty() const { return list.empty(); }
 
+    /** RNG draws generate() took from its per-kind substreams (0 for
+     *  a hand-built plan). The substreams are copies, so these draws
+     *  never show in the caller's Rng::draws(). */
+    std::uint64_t draws() const { return drawCount; }
+
     /** Append one fault (for hand-built plans in tests/benches). */
     void add(const Fault &f) { list.push_back(f); }
 
@@ -166,6 +171,7 @@ class FaultPlan
 
   private:
     std::vector<Fault> list;
+    std::uint64_t drawCount = 0;
 };
 
 } // namespace vsync::fault

@@ -161,7 +161,7 @@ ResilienceScenario::runTrialBlock(
                     lane_scratch[c * stride + j] = out.cellArrival[c];
             }
             out_faults[i + j] = static_cast<double>(plan.size());
-            draws += plan_rng.draws() + delay_rng.draws();
+            draws += plan.draws() + delay_rng.draws();
         }
         kernel->arrivalSkewBlock(
             std::span<const Time>(lane_scratch.data(), cells * stride),

@@ -633,9 +633,23 @@ TEST(McMetrics, ResilienceSweepCountsFaultsByKind)
 
     // The sweep metrics of McConfig::metrics, with a draw count (plan
     // plus delay substreams) that does not depend on the schedule.
+    // Per trial the plan takes one Bernoulli per site for each kind
+    // with a nonzero rate (a grid has no handshake wires, and the mixed
+    // profile gives every other kind a rate), a factor per drift fault
+    // and a level per stuck net (onsets are all at t = 0, no draw);
+    // the delays take one uniform per grid link, three per node.
     EXPECT_EQ(reg.counter("mc.sweep.trials").value(), cfg.trials);
     const std::uint64_t draws = reg.counter("mc.sweep.rng_draws").value();
-    EXPECT_GT(draws, 0u);
+    const auto faults_of = [&reg](fault::FaultKind k) {
+        return reg.counter("mc.resilience.faults." + fault::faultKindName(k))
+            .value();
+    };
+    const fault::FaultUniverse u = fault::TrixGrid::universe(4, 4);
+    const std::uint64_t bernoullis = 2 * u.bufferSites + 2 * u.clockNets;
+    const std::uint64_t links = 3 * 4 * 4;
+    EXPECT_EQ(draws, cfg.trials * (bernoullis + links) +
+                         faults_of(fault::FaultKind::DelayDrift) +
+                         faults_of(fault::FaultKind::StuckAtNet));
     for (const unsigned threads : {1u, 4u}) {
         obs::MetricsRegistry again;
         mc::McConfig other = cfg;

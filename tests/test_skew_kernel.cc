@@ -5,15 +5,18 @@
  * The kernel's contract is "same answers, flat state": every query
  * must agree bitwise with the pointer-chasing surface it replaced.
  * The NCA property test drives randomized tree shapes (seeded via
- * Rng::forTrial, so failures reproduce by trial index) against the
- * naive parent-climb; the sweep tests pin the Monte-Carlo bit-identity
- * guarantee at 1/2/8 threads. The lane-blocked entry points have their
- * own suite in test_skew_block.cc.
+ * Rng::forTrial, so failures reproduce by trial index) and the comm
+ * pairs of builder trees against the naive parent-climb; the sweep
+ * tests pin the Monte-Carlo bit-identity guarantee at 1/2/8 threads.
+ * The lane-blocked entry points have their own suite in
+ * test_skew_block.cc.
  */
 
 #include <cmath>
 #include <utility>
 #include <vector>
+
+#include <malloc.h>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +34,20 @@ namespace
 using namespace vsync;
 using core::SkewKernel;
 using core::WireDelay;
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool glibcHeap = false;
+#else
+constexpr bool glibcHeap = true;
+#endif
+
+/** Heap bytes glibc's malloc has handed out: arena plus mmapped. */
+std::size_t
+heapInUse()
+{
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+}
 
 /** A random binary tree: node v's parent is drawn uniformly from the
  *  nodes that still have a free child slot, so shapes range from paths
@@ -83,6 +100,32 @@ TEST(SkewKernelNca, MatchesNaiveParentClimbOnRandomizedTrees)
             }
         }
     }
+
+    // Builder trees, over every comm pair: a 16x16 H-tree, a spine over
+    // an 8x8 mesh (vertical pairs 8 hops apart) and a spine over the
+    // Fig 6 serpentine.
+    const auto check_pairs = [](const char *name, const layout::Layout &l,
+                                const clocktree::ClockTree &t) {
+        const SkewKernel kernel(l, t);
+        ASSERT_GT(kernel.pairCount(), 0u) << name;
+        for (std::size_t i = 0; i < kernel.pairCount(); ++i) {
+            const NodeId a = kernel.pairNodesA()[i];
+            const NodeId b = kernel.pairNodesB()[i];
+            EXPECT_EQ(kernel.nca(a, b), t.structure().nca(a, b))
+                << name << " pair " << i;
+            EXPECT_EQ(kernel.treeDistance(a, b), t.treeDistance(a, b))
+                << name << " pair " << i;
+            EXPECT_EQ(kernel.pathDifference(a, b), t.pathDifference(a, b))
+                << name << " pair " << i;
+        }
+    };
+    const layout::Layout mesh16 = layout::meshLayout(16, 16);
+    check_pairs("htree 16x16", mesh16,
+                clocktree::buildHTreeGrid(mesh16, 16, 16));
+    const layout::Layout mesh8 = layout::meshLayout(8, 8);
+    check_pairs("spine 8x8", mesh8, clocktree::buildSpine(mesh8));
+    const layout::Layout comb = layout::serpentineLayout(96, 8);
+    check_pairs("serpentine spine", comb, clocktree::buildSpine(comb));
 }
 
 TEST(SkewKernel, CompilesHTreeScenarioFaithfully)
@@ -241,6 +284,25 @@ TEST(SkewKernel, ExportsStatsThroughMetricsRegistry)
               static_cast<double>(kernel.pairCount()));
     EXPECT_EQ(reg.gauge("core.skew_kernel.arrival_batches").value(),
               1.0);
+    EXPECT_EQ(reg.gauge("core.skew_kernel.bytes").value(),
+              static_cast<double>(kernel.bytes()));
+
+    // bytes() is the footprint: a 128x128 H-tree (49,151 nodes, 32,512
+    // pairs) fits in 2.5 MiB, and bytes() tracks the heap the compile
+    // leaves behind. The heap check reads glibc's allocator, which the
+    // address and thread sanitizers replace with their own.
+    const layout::Layout big = layout::meshLayout(128, 128);
+    const auto big_tree = clocktree::buildHTreeGrid(big, 128, 128);
+    const std::size_t heap_before = heapInUse();
+    const SkewKernel measured(big, big_tree);
+    const std::size_t heap_after = heapInUse();
+    EXPECT_LE(measured.bytes(), std::size_t{5} << 19); // 2.5 MiB
+    if (glibcHeap) {
+        const double grown =
+            static_cast<double>(heap_after) - static_cast<double>(heap_before);
+        EXPECT_NEAR(static_cast<double>(measured.bytes()), grown,
+                    0.1 * grown);
+    }
 }
 
 TEST(SkewKernelDeath, GuardsDegenerateInputs)
