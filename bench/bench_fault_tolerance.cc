@@ -24,10 +24,19 @@
  *     H-tree at fault rate 0.02, in interleaved A/B repeats. Every
  *     repeat's samples must be bit-identical, and the median of the
  *     per-repeat speedups must reach levelizedSpeedupGate.
+ *  5. Lane plans and the cached distribution, in interleaved repeats:
+ *     fault-plan generation per trial at rate 0.02 on the TRIX grid
+ *     and the H-tree, eight trials at a time through
+ *     FaultPlan::generateBlock against FaultPlan::generate per trial
+ *     (every lane plan must equal its scalar plan, draws() included);
+ *     and the served H-tree compile per request, a ScenarioCache
+ *     distribution hit against the rebuild of tree, buffered tree and
+ *     universe around a kernel-cache hit. Reported with
+ *     RngLanes8::isa().
  *
  * Results go to stdout as tables and to BENCH_fault_tolerance.json;
  * the exit code is nonzero if any masking, degradation, determinism,
- * bit-identity or speedup property fails.
+ * bit-identity (levelized or lane-plan) or speedup property fails.
  */
 
 #include <chrono>
@@ -41,6 +50,7 @@
 #include "hybrid/partition.hh"
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
+#include "serve/scenario_cache.hh"
 
 namespace
 {
@@ -55,6 +65,12 @@ constexpr int cols = 16;
 constexpr int timingRepeats = 7;
 constexpr std::size_t timingTrials = 256;
 constexpr double levelizedSpeedupGate = 3.0;
+
+/** Section 5: interleaved repeats, trials per plan repeat (whole
+ *  eight-trial blocks), and served compiles per compile repeat. */
+constexpr int laneRepeats = 15;
+constexpr std::size_t planTrials = 256;
+constexpr int compileCalls = 32;
 
 /** Nominal (variation-free) stage delays for the buffered tree. */
 desim::ClockNet::DelayFn
@@ -222,6 +238,111 @@ double
 iqr(const SampleSet &x)
 {
     return x.quantile(0.75) - x.quantile(0.25);
+}
+
+/** Section 5's plan timing for one universe. */
+struct PlanTiming
+{
+    SampleSet laneUs;   // per trial, one sample per repeat
+    SampleSet scalarUs;
+    bool bitIdentical = true;
+};
+
+/**
+ * @p laneRepeats interleaved A/B repeats over trials [rep * planTrials,
+ * (rep + 1) * planTrials): A draws their plans eight at a time through
+ * generateBlock, B one at a time through generate. Every lane plan
+ * must equal its scalar plan, draws() included.
+ */
+PlanTiming
+timePlans(const fault::FaultUniverse &u, std::uint64_t seed)
+{
+    using Clock = std::chrono::steady_clock;
+    constexpr std::size_t lanes = RngLanes8::width;
+    const fault::FaultRates rates = fault::FaultRates::mixed(0.02);
+    PlanTiming s;
+    std::vector<Rng> rngs(planTrials);
+    std::vector<fault::FaultPlan> lanePlans(planTrials), scalarPlans(planTrials);
+    fault::PlanLaneScratch scratch;
+    for (int rep = 0; rep < laneRepeats; ++rep) {
+        for (std::size_t j = 0; j < planTrials; ++j)
+            rngs[j] = Rng::forTrial(seed, rep * planTrials + j);
+        const auto a0 = Clock::now();
+        for (std::size_t i = 0; i < planTrials; i += lanes)
+            fault::FaultPlan::generateBlock(
+                u, rates, std::span<const Rng>(rngs.data() + i, lanes),
+                std::span<fault::FaultPlan>(lanePlans.data() + i, lanes),
+                scratch);
+        const auto a1 = Clock::now();
+        for (std::size_t j = 0; j < planTrials; ++j)
+            scalarPlans[j] = fault::FaultPlan::generate(u, rates, rngs[j]);
+        const auto b1 = Clock::now();
+        for (std::size_t j = 0; j < planTrials; ++j)
+            s.bitIdentical = s.bitIdentical &&
+                             lanePlans[j] == scalarPlans[j] &&
+                             lanePlans[j].draws() == scalarPlans[j].draws();
+        const double n = static_cast<double>(planTrials);
+        s.laneUs.add(
+            std::chrono::duration<double, std::micro>(a1 - a0).count() / n);
+        s.scalarUs.add(
+            std::chrono::duration<double, std::micro>(b1 - a1).count() / n);
+    }
+    return s;
+}
+
+/** Section 5's served-compile timing (per request, microseconds). */
+struct CompileTiming
+{
+    SampleSet hitUs;
+    SampleSet rebuildUs;
+};
+
+/**
+ * @p laneRepeats interleaved A/B repeats of @p compileCalls served
+ * H-tree compiles at 16x16: A looks the distribution up in a warm
+ * ScenarioCache and sets the rates around it; B rebuilds the tree,
+ * buffered tree and universe and fetches the kernel from a warm cache
+ * by its tree hash.
+ */
+CompileTiming
+timeServedCompile(const layout::Layout &l, const mc::ResilienceConfig &rc)
+{
+    using Clock = std::chrono::steady_clock;
+    constexpr auto kind = mc::DistributionKind::HTree;
+    serve::ScenarioCache cache;
+    const core::KernelProvider kernelHit =
+        [&cache](const layout::Layout &lay, const clocktree::ClockTree *t) {
+            return t ? cache.get(lay, *t) : cache.get(lay);
+        };
+    const auto hit = [&] {
+        return mc::ResilienceScenario(
+            cache.distribution(l, rows, cols, kind, rc.bufferSpacing),
+            fault::FaultRates::mixed(0.02), rc);
+    };
+    const auto rebuild = [&] {
+        return mc::compileResilienceScenario(l, rows, cols, kind, 0.02, rc,
+                                             kernelHit);
+    };
+    (void)hit();
+    (void)rebuild();
+    CompileTiming s;
+    for (int rep = 0; rep < laneRepeats; ++rep) {
+        // Both take the cache's lock, so neither loop can be elided.
+        const auto a0 = Clock::now();
+        for (int k = 0; k < compileCalls; ++k)
+            (void)hit();
+        const auto a1 = Clock::now();
+        for (int k = 0; k < compileCalls; ++k)
+            (void)rebuild();
+        const auto b1 = Clock::now();
+        s.hitUs.add(std::chrono::duration<double, std::micro>(a1 - a0)
+                        .count() /
+                    compileCalls);
+        s.rebuildUs.add(std::chrono::duration<double, std::micro>(b1 - a1)
+                            .count() /
+                        compileCalls);
+    }
+    return s;
 }
 
 } // namespace
@@ -435,10 +556,68 @@ main(int argc, char **argv)
         .endObject();
     emitTable(timingTable, opts);
 
+    // --- 5. Lane plans and the cached distribution. ----------------
+    bench::headline(
+        "Lane plans and the cached distribution: generateBlock against "
+        "generate per trial, and a served H-tree compile on a "
+        "distribution cache hit against the rebuild around a kernel hit");
+    Table laneTable(
+        "per-trial plan and per-request compile time (16x16, rate 0.02, " +
+            std::to_string(laneRepeats) + " interleaved repeats, " +
+            RngLanes8::isa() + " clone)",
+        {"measure", "A us (median)", "A IQR", "B us (median)", "B IQR",
+         "bit-identical"});
+    bool lanePlansIdentical = true;
+    json.key("lane_plans").beginObject()
+        .keyValue("isa", RngLanes8::isa())
+        .keyValue("fault_rate", 0.02)
+        .keyValue("repeats", laneRepeats)
+        .keyValue("trials_per_repeat",
+                  static_cast<std::uint64_t>(planTrials));
+    for (const mc::DistributionKind kind :
+         {mc::DistributionKind::TrixGrid, mc::DistributionKind::HTree}) {
+        const fault::FaultUniverse u =
+            kind == mc::DistributionKind::TrixGrid
+                ? fault::TrixGrid::universe(rows, cols)
+                : fault::universeOf(btree);
+        const PlanTiming t = timePlans(u, seed);
+        const std::string name = mc::distributionKindName(kind);
+        lanePlansIdentical = lanePlansIdentical && t.bitIdentical;
+        laneTable.addRow({"plan " + name + ": lanes (A) vs generate (B)",
+                          Table::fixed(t.laneUs.median(), 2),
+                          Table::fixed(iqr(t.laneUs), 2),
+                          Table::fixed(t.scalarUs.median(), 2),
+                          Table::fixed(iqr(t.scalarUs), 2),
+                          t.bitIdentical ? "yes" : "NO"});
+        json.key(name).beginObject()
+            .keyValue("lane_us_per_trial_median", t.laneUs.median())
+            .keyValue("lane_us_per_trial_iqr", iqr(t.laneUs))
+            .keyValue("scalar_us_per_trial_median", t.scalarUs.median())
+            .keyValue("scalar_us_per_trial_iqr", iqr(t.scalarUs))
+            .keyValue("bit_identical", t.bitIdentical)
+            .endObject();
+    }
+    json.keyValue("bit_identical", lanePlansIdentical).endObject();
+    const CompileTiming ct = timeServedCompile(l, rc);
+    laneTable.addRow({"served htree compile: cache hit (A) vs rebuild (B)",
+                      Table::fixed(ct.hitUs.median(), 2),
+                      Table::fixed(iqr(ct.hitUs), 2),
+                      Table::fixed(ct.rebuildUs.median(), 2),
+                      Table::fixed(iqr(ct.rebuildUs), 2), "-"});
+    json.key("served_htree_compile").beginObject()
+        .keyValue("repeats", laneRepeats)
+        .keyValue("compiles_per_repeat", compileCalls)
+        .keyValue("cache_hit_us_median", ct.hitUs.median())
+        .keyValue("cache_hit_us_iqr", iqr(ct.hitUs))
+        .keyValue("rebuild_us_median", ct.rebuildUs.median())
+        .keyValue("rebuild_us_iqr", iqr(ct.rebuildUs))
+        .endObject();
+    emitTable(laneTable, opts);
+
     const bool ok = treeAlwaysLoses && gridAlwaysMasks &&
                     gridZeroDegradation && degradationMonotone &&
                     gridBeatsTree && deterministic && levelizedIdentical &&
-                    levelizedFastEnough;
+                    levelizedFastEnough && lanePlansIdentical;
     json.keyValue("degradation_monotone", degradationMonotone)
         .keyValue("grid_clocked_fraction_beats_tree", gridBeatsTree)
         .keyValue("bit_identical_across_thread_counts", deterministic)
@@ -448,13 +627,15 @@ main(int argc, char **argv)
         "\nwrote BENCH_fault_tolerance.json (tree lost cells on "
         "%zu/%zu single faults, grid masked %zu/%zu with %s skew "
         "degradation; sweeps %s across 1/2/8 threads; levelized trials "
-        "%s desim and %s the %.0fx speedup gate)\n",
+        "%s desim and %s the %.0fx speedup gate; lane plans %s scalar "
+        "ones)\n",
         treePass.sites - treePass.masked, treePass.sites,
         gridPass.masked, gridPass.sites,
         gridZeroDegradation ? "zero" : "NONZERO",
         deterministic ? "bit-identical" : "DIVERGED",
         levelizedIdentical ? "match" : "DIVERGE FROM",
-        levelizedFastEnough ? "meet" : "MISS", levelizedSpeedupGate);
+        levelizedFastEnough ? "meet" : "MISS", levelizedSpeedupGate,
+        lanePlansIdentical ? "match" : "DIVERGE FROM");
     if (!ok)
         std::printf("PROPERTY FAILURE: see "
                     "BENCH_fault_tolerance.json\n");

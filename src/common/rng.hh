@@ -270,8 +270,9 @@ Rng::fillNormal(double mean, double stddev, std::span<double> out)
  * advanced state and draws() count, so a run can switch between lanes
  * and scalar draws without a single bit changing. The step functions
  * are inline so that they compile into the VSYNC_LANE_CLONES caller
- * they are used from (SkewKernel::arrivalsBlock's eight-lane path);
- * fillUniform() is the one cloned entry of its own.
+ * they are used from (SkewKernel::arrivalsBlock's eight-lane path,
+ * FaultPlan::generateBlock's site rows); fillUniform() is the one
+ * cloned entry of its own.
  */
 class RngLanes8
 {
@@ -335,8 +336,8 @@ class RngLanes8
     /**
      * out.size() / 8 draws per lane, draw-major: out[k * 8 + j] is
      * lane j's k-th uniform(lo, hi). @pre out.size() % 8 == 0. The
-     * bulk form the generator's own throughput is measured with;
-     * defined with VSYNC_LANE_CLONES in rng.cc.
+     * bulk form: a resilience block's wire delays, and the generator's
+     * own throughput measure; defined with VSYNC_LANE_CLONES in rng.cc.
      */
     void fillUniform(double lo, double hi, std::span<double> out);
 

@@ -359,11 +359,10 @@ class SkewKernel
 
 /**
  * Source of compiled kernels for a scenario: tree == nullptr asks for
- * the pairs-only compile of the layout. mc::compileResilienceScenario
- * fetches its kernel through a provider: mc::resilienceAtRate passes
- * directCompile(), serve::SweepService passes
- * serve::ScenarioCache::provider() so repeated requests over the same
- * scenario pay the compile once.
+ * the pairs-only compile of the layout. mc::compileResilienceDistribution
+ * fetches its kernel through a provider (mc::resilienceAtRate and
+ * serve::ScenarioCache both pass directCompile(); the cache keeps the
+ * whole distribution, kernel included).
  */
 using KernelProvider = std::function<std::shared_ptr<const SkewKernel>(
     const layout::Layout &, const clocktree::ClockTree *)>;

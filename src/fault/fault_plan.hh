@@ -18,6 +18,7 @@
 #define VSYNC_FAULT_FAULT_PLAN_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,16 @@ struct FaultRates
     static FaultRates mixed(double rate);
 };
 
+/** Reusable buffers of FaultPlan::generateBlock (one per thread). */
+struct PlanLaneScratch
+{
+    /** One kind's buffered draws, row-major: draws[row * 8 + lane]. */
+    std::vector<double> draws;
+    /** Per row, bit j set when lane j's draw is a Bernoulli hit;
+     *  padded with zero bytes to a whole number of 8-row words. */
+    std::vector<std::uint8_t> hits;
+};
+
 /** A deterministic, reproducible list of faults for one trial. */
 class FaultPlan
 {
@@ -130,6 +141,26 @@ class FaultPlan
      */
     static FaultPlan generate(const FaultUniverse &universe,
                               const FaultRates &rates, Rng &rng);
+
+    /**
+     * generate() for up to eight trials in lockstep: plans[j] becomes
+     * generate(universe, rates, rngs[j]), draws() included, bit for
+     * bit. Per kind, the trials' substreams step together through
+     * RngLanes8, lane j being trial j: one raw uniform() per site and
+     * lane, compared with the rate a row of eight at a time. Each lane
+     * then walks its hits with a cursor; a hit's further draws (onset,
+     * drift factor, stuck level) are the lane's next buffered draws,
+     * and once those run out the lane goes on drawing from its own
+     * stream. Every site takes at least one draw, so no lane draws
+     * more than generate() does. Lanes past rngs.size() are padding
+     * whose draws are discarded.
+     * @pre 1 <= rngs.size() == plans.size() <= 8.
+     */
+    static void generateBlock(const FaultUniverse &universe,
+                              const FaultRates &rates,
+                              std::span<const Rng> rngs,
+                              std::span<FaultPlan> plans,
+                              PlanLaneScratch &scratch);
 
     /**
      * Convenience: the plan for trial @p trial of the experiment

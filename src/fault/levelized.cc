@@ -55,6 +55,16 @@ LevelizedPulse::before(const Write &a, const Write &b)
 }
 
 bool
+LevelizedPulse::transBefore(const Transition &a, const Transition &b)
+{
+    if (a.t != b.t)
+        return a.t < b.t;
+    if (a.phase != b.phase)
+        return a.phase < b.phase;
+    return a.phase == Run ? a.sched < b.sched : a.ord < b.ord;
+}
+
+bool
 LevelizedPulse::sameRunSlot(const Write &a, const Write &b)
 {
     return a.phase == Run && b.phase == Run && a.t == b.t &&
@@ -186,6 +196,25 @@ LevelizedPulse::stageWrites(const Transition *first, const Transition *last,
     }
 }
 
+LevelizedPulse::Transition
+LevelizedPulse::shifted(const Transition &tr, std::uint32_t index,
+                        const desim::EdgeDelays &d)
+{
+    Transition o;
+    o.t = tr.t + (tr.value ? d.rise : d.fall);
+    o.value = tr.value;
+    if (tr.phase == Armed) {
+        o.sched = 0.0;
+        o.ord = tr.ord;
+        o.phase = Scheduled;
+    } else {
+        o.sched = tr.t;
+        o.ord = index;
+        o.phase = Run;
+    }
+    return o;
+}
+
 void
 LevelizedPulse::shiftInto(std::uint32_t first, std::uint32_t last,
                           const desim::EdgeDelays &d,
@@ -194,22 +223,8 @@ LevelizedPulse::shiftInto(std::uint32_t first, std::uint32_t last,
     // A healthy stage into a healthy net: every input transition comes
     // out d later as a value change, already in desim's order -- what
     // stageWrites + settle would produce, without the general case.
-    for (std::uint32_t j = first; j < last; ++j) {
-        const Transition tr = waves[j];
-        Transition o;
-        o.t = tr.t + (tr.value ? d.rise : d.fall);
-        o.value = tr.value;
-        if (tr.phase == Armed) {
-            o.sched = 0.0;
-            o.ord = tr.ord;
-            o.phase = Scheduled;
-        } else {
-            o.sched = tr.t;
-            o.ord = j - first;
-            o.phase = Run;
-        }
-        out.push_back(o);
-    }
+    for (std::uint32_t j = first; j < last; ++j)
+        out.push_back(shifted(waves[j], j - first, d));
 }
 
 void
@@ -338,6 +353,45 @@ LevelizedPulse::runTree(const clocktree::BufferedClockTree &btree,
 }
 
 bool
+LevelizedPulse::voteHealthyNode(std::size_t node,
+                                const std::size_t (&up)[3])
+{
+    // The links' rises, kept sorted; an equal rise of a later link
+    // goes after, as the merge loop breaks ties.
+    Transition rise[3];
+    int n = 0;
+    for (int k = 0; k < 3; ++k) {
+        const std::size_t link = node * 3 + static_cast<std::size_t>(k);
+        if (stageFaultHead[link] >= 0)
+            return false;
+        std::uint32_t at = netEnd[up[k]];
+        for (std::uint32_t j = netBegin[up[k]]; j < netEnd[up[k]]; ++j) {
+            if (!waves[j].value)
+                continue;
+            if (at != netEnd[up[k]])
+                return false; // a second rise: the merge loop's case
+            at = j;
+        }
+        if (at == netEnd[up[k]])
+            continue;
+        const Transition o =
+            shifted(waves[at], at - netBegin[up[k]], delays[link]);
+        int pos = n++;
+        for (; pos > 0 && transBefore(o, rise[pos - 1]); --pos)
+            rise[pos] = rise[pos - 1];
+        rise[pos] = o;
+    }
+    netBegin[node] = static_cast<std::uint32_t>(waves.size());
+    if (n >= 2) {
+        const Transition &v = rise[1];
+        waves.push_back(
+            {v.t, v.sched, v.phase == Run ? 1u : v.ord, v.phase, true});
+    }
+    netEnd[node] = static_cast<std::uint32_t>(waves.size());
+    return true;
+}
+
+bool
 LevelizedPulse::runGrid(int rows, int cols, const FaultPlan &plan)
 {
     VSYNC_ASSERT(rows >= 1 && cols >= 1, "bad grid %dx%d", rows, cols);
@@ -360,30 +414,26 @@ LevelizedPulse::runGrid(int rows, int cols, const FaultPlan &plan)
     bool ok = settle(waves);
     netEnd[root] = static_cast<std::uint32_t>(waves.size());
 
-    const auto transBefore = [](const Transition &a, const Transition &b) {
-        if (a.t != b.t)
-            return a.t < b.t;
-        if (a.phase != b.phase)
-            return a.phase < b.phase;
-        return a.phase == Run ? a.sched < b.sched : a.ord < b.ord;
-    };
     for (std::size_t node = 0; node < nodes && ok; ++node) {
         const int r = static_cast<int>(node / cols);
         const int c = static_cast<int>(node % cols);
+        std::size_t up[3];
+        for (int k = 0; k < 3; ++k)
+            up[k] = r == 0 ? root
+                           : static_cast<std::size_t>(r - 1) * cols +
+                                 std::clamp(c - 1 + k, 0, cols - 1);
+        if (netFaultHead[node] < 0 && voteHealthyNode(node, up))
+            continue;
         for (int k = 0; k < 3; ++k) {
-            const std::size_t up =
-                r == 0 ? root
-                       : static_cast<std::size_t>(r - 1) * cols +
-                             std::clamp(c - 1 + k, 0, cols - 1);
             const std::size_t link = node * 3 + k;
             linkWave[k].clear();
             if (stageFaultHead[link] < 0) {
-                shiftInto(netBegin[up], netEnd[up], delays[link],
+                shiftInto(netBegin[up[k]], netEnd[up[k]], delays[link],
                           linkWave[k]);
                 continue;
             }
-            stageWrites(waves.data() + netBegin[up],
-                        waves.data() + netEnd[up], link, delays[link]);
+            stageWrites(waves.data() + netBegin[up[k]],
+                        waves.data() + netEnd[up[k]], link, delays[link]);
             settle(linkWave[k]); // one source: never ambiguous
         }
         const bool healthyNode = netFaultHead[node] < 0;

@@ -169,6 +169,9 @@ class LevelizedPulse
     bool runGrid(int rows, int cols, const FaultPlan &plan);
 
     static bool before(const Write &a, const Write &b);
+    /** The order in which a TRIX node's vote consumes link rises (ties
+     *  go to the lower link, which is tried first). */
+    static bool transBefore(const Transition &a, const Transition &b);
     static bool sameRunSlot(const Write &a, const Write &b);
     /** True when stage fault @p idx took effect before @p tr. */
     bool onsetBefore(std::uint32_t idx, const Transition &tr) const;
@@ -183,11 +186,24 @@ class LevelizedPulse
      *  output net for input transitions [first, last). */
     void stageWrites(const Transition *first, const Transition *last,
                      std::size_t stage, const desim::EdgeDelays &d);
+    /** A stage without faults driving a net without faults: its
+     *  output for @p tr, the @p index-th transition of its input. */
+    static Transition shifted(const Transition &tr, std::uint32_t index,
+                              const desim::EdgeDelays &d);
     /** The fast path of stageWrites + settle for a stage and output
      *  net without faults: append waves[first, last) shifted. */
     void shiftInto(std::uint32_t first, std::uint32_t last,
                    const desim::EdgeDelays &d,
                    std::vector<Transition> &out) const;
+    /**
+     * The vote of grid node @p node when it has no net fault, none of
+     * its links has a stage fault, and each upstream net @p up[k]
+     * carries at most one rise: the node fires once, at the second of
+     * its links' shifted rises in transBefore order -- what the merge
+     * loop of runGrid computes, without link waveforms. Returns false
+     * and changes nothing when the node does not qualify.
+     */
+    bool voteHealthyNode(std::size_t node, const std::size_t (&up)[3]);
     /** Append the stuck-at and glitch writes aimed at net @p net. */
     void netFaultWrites(std::size_t net);
     /** Apply `writes` to a net that starts low, appending its value

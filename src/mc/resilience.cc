@@ -37,48 +37,69 @@ namespace
 constexpr std::uint64_t planSalt = 1;
 constexpr std::uint64_t delaySalt = 2;
 
-/** The per-chip tree stage-delay model, shared by the desim and
- *  levelized trial paths (a plain lambda, so the levelized pass
- *  inlines it). Captures by reference; consume immediately. */
-auto
-treeDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
+/** A tree stage's delay for unit wire delay @p unit: its wire plus the
+ *  buffer's insertion delay. The one expression the desim and the
+ *  levelized trial paths share. */
+Time
+treeStage(const ResilienceConfig &rc, const clocktree::BufferedSite &site,
+          double unit)
 {
-    return [&rc, &delay_rng](const clocktree::BufferedSite &site,
-                             std::size_t) {
-        const double unit =
-            delay_rng.uniform(rc.delay.lo(), rc.delay.hi());
-        const Time stage = site.wireFromParent * unit +
-                           (site.isBuffer ? rc.bufferDelay : 0.0);
-        return desim::EdgeDelays::same(stage);
-    };
+    return site.wireFromParent * unit +
+           (site.isBuffer ? rc.bufferDelay : 0.0);
 }
 
-/** Per-link grid delays from the same model: one buffered unit-pitch
+/** A grid link's delay from the same model: one buffered unit-pitch
  *  link per stage -- buffer delay plus one lambda of varied wire. */
-auto
-gridDelayFn(const ResilienceConfig &rc, Rng &delay_rng)
+Time
+gridLink(const ResilienceConfig &rc, double unit)
 {
-    return [&rc, &delay_rng](int, int, int) {
-        return rc.bufferDelay +
-               delay_rng.uniform(rc.delay.lo(), rc.delay.hi());
-    };
+    return rc.bufferDelay + unit;
 }
 
-/** One trial's faulty pulse on a freshly built desim circuit: the
- *  oracle, and the levelized pass's fallback. */
+/** One trial's faulty pulse on a freshly built desim circuit, drawing
+ *  its stage delays from @p delay_rng: the oracle, and the levelized
+ *  pass's fallback. */
 fault::DistributionOutcome
 desimTrial(const ResilienceScenario &s, const fault::FaultPlan &plan,
            Rng &delay_rng)
 {
-    return s.kind == DistributionKind::TrixGrid
-               ? fault::simulateGridUnderFaults(
-                     *s.kernel, s.rows, s.cols, gridDelayFn(s.rc, delay_rng),
-                     plan)
-               : fault::simulateTreeUnderFaults(
-                     *s.kernel, s.btree, treeDelayFn(s.rc, delay_rng), plan);
+    const ResilienceConfig &rc = s.rc;
+    const auto unit = [&rc, &delay_rng] {
+        return delay_rng.uniform(rc.delay.lo(), rc.delay.hi());
+    };
+    const ResilienceDistribution &d = *s.dist;
+    if (d.kind == DistributionKind::TrixGrid)
+        return fault::simulateGridUnderFaults(
+            *d.kernel, d.rows, d.cols,
+            [&](int, int, int) { return gridLink(rc, unit()); }, plan);
+    return fault::simulateTreeUnderFaults(
+        *d.kernel, d.btree,
+        [&](const clocktree::BufferedSite &site, std::size_t) {
+            return desim::EdgeDelays::same(treeStage(rc, site, unit()));
+        },
+        plan);
+}
+
+const ResilienceDistribution &
+checked(const std::shared_ptr<const ResilienceDistribution> &d)
+{
+    VSYNC_ASSERT(d != nullptr, "resilience scenario without a distribution");
+    return *d;
 }
 
 } // namespace
+
+ResilienceScenario::ResilienceScenario(
+    std::shared_ptr<const ResilienceDistribution> d,
+    const fault::FaultRates &r, const ResilienceConfig &config)
+    : dist(std::move(d)), btree(checked(dist).btree), kernel(dist->kernel),
+      rates(r), rc(config)
+{
+    VSYNC_ASSERT(dist->kind == DistributionKind::TrixGrid ||
+                     btree.spacing() == rc.bufferSpacing,
+                 "tree buffered every %g, config asks for %g",
+                 btree.spacing(), rc.bufferSpacing);
+}
 
 fault::DistributionOutcome
 ResilienceScenario::runTrial(
@@ -90,7 +111,7 @@ ResilienceScenario::runTrial(
     Rng plan_rng = trial_rng.deriveStream(planSalt);
     Rng delay_rng = trial_rng.deriveStream(delaySalt);
     const fault::FaultPlan plan =
-        fault::FaultPlan::generate(universe, rates, plan_rng);
+        fault::FaultPlan::generate(dist->universe, rates, plan_rng);
     if (kind_counters)
         for (const fault::Fault &f : plan.faults())
             (*kind_counters)[static_cast<std::size_t>(f.kind)]->inc();
@@ -111,57 +132,86 @@ ResilienceScenario::runTrialBlock(
                      out_faults.size() == count,
                  "output spans must cover the %zu range trials", count);
     constexpr std::size_t blockW = core::SkewKernel::blockWidth();
+    static_assert(blockW == RngLanes8::width,
+                  "a block's delays are one RngLanes8 fill");
+    const ResilienceDistribution &d = *dist;
+    const bool grid = d.kind == DistributionKind::TrixGrid;
     const std::size_t cells = kernel->cellCount();
-    // The net each cell is clocked by: the site of its tree node, or
-    // grid node r * cols + c for cell r * cols + c.
-    std::vector<std::size_t> cellNet(cells);
-    for (std::size_t c = 0; c < cells; ++c)
-        cellNet[c] = kind == DistributionKind::TrixGrid
-                         ? c
-                         : btree.siteOfNode(
-                               kernel->nodeOfCell(static_cast<CellId>(c)));
-    // Each trial's faulty pulse is one levelized pass (no event queue,
-    // no lanes); a block's per-cell arrival surfaces are scattered
-    // lane-major and reduced in one blocked pair fold per block.
+    // The stages that draw one unit delay each, in draw order: a
+    // tree's non-root sites, a grid's three links per node.
+    const std::size_t stages =
+        grid ? 3 * static_cast<std::size_t>(d.rows) *
+                   static_cast<std::size_t>(d.cols)
+             : btree.sites().size() - 1;
     fault::LevelizedPulse pulse;
+    fault::PlanLaneScratch planScratch;
+    std::array<fault::FaultPlan, blockW> plans;
+    std::array<Rng, blockW> planRng, delayRng;
+    // units[stage * blockW + j]: trial j's unit delay of that stage.
+    std::vector<double> units(stages * blockW);
     std::array<core::ArrivalSkew, blockW> reduced;
     std::uint64_t draws = 0;
     for (std::size_t i = 0; i < count; i += blockW) {
         const std::size_t w = std::min(blockW, count - i);
         const std::size_t stride = core::SkewKernel::laneStride(w);
         lane_scratch.resize(cells * stride);
+        // Padding lanes repeat the block's last trial; dropped below.
+        for (std::size_t j = 0; j < blockW; ++j) {
+            const Rng trial_rng =
+                Rng::forTrial(seed, first_trial + i + std::min(j, w - 1));
+            planRng[j] = trial_rng.deriveStream(planSalt);
+            delayRng[j] = trial_rng.deriveStream(delaySalt);
+        }
+        fault::FaultPlan::generateBlock(d.universe, rates,
+                                        {planRng.data(), w},
+                                        {plans.data(), w}, planScratch);
+        RngLanes8(delayRng).fillUniform(rc.delay.lo(), rc.delay.hi(),
+                                        units);
         for (std::size_t j = 0; j < w; ++j) {
-            Rng trial_rng = Rng::forTrial(seed, first_trial + i + j);
-            Rng plan_rng = trial_rng.deriveStream(planSalt);
-            Rng delay_rng = trial_rng.deriveStream(delaySalt);
-            const fault::FaultPlan plan =
-                fault::FaultPlan::generate(universe, rates, plan_rng);
+            const fault::FaultPlan &plan = plans[j];
             if (kind_counters)
                 for (const fault::Fault &f : plan.faults())
                     (*kind_counters)[static_cast<std::size_t>(f.kind)]
                         ->inc();
+            const double *unit = units.data() + j;
             const bool levelized =
-                kind == DistributionKind::TrixGrid
-                    ? pulse.grid(rows, cols, gridDelayFn(rc, delay_rng),
-                                 plan)
-                    : pulse.tree(btree, treeDelayFn(rc, delay_rng), plan);
+                grid ? pulse.grid(
+                           d.rows, d.cols,
+                           [&](int r, int c, int k) {
+                               const auto link =
+                                   (static_cast<std::size_t>(r) * d.cols +
+                                    static_cast<std::size_t>(c)) *
+                                       3 +
+                                   static_cast<std::size_t>(k);
+                               return gridLink(rc, unit[link * blockW]);
+                           },
+                           plan)
+                     : pulse.tree(
+                           btree,
+                           [&](const clocktree::BufferedSite &site,
+                               std::size_t s) {
+                               return desim::EdgeDelays::same(treeStage(
+                                   rc, site, unit[(s - 1) * blockW]));
+                           },
+                           plan);
             if (levelized) {
                 for (std::size_t c = 0; c < cells; ++c)
                     lane_scratch[c * stride + j] =
-                        pulse.firstRise(cellNet[c]);
+                        pulse.firstRise(d.cellNet[c]);
             } else {
                 // A same-time tie desim orders by event sequence: run
                 // the trial's own draws on a freshly built circuit.
                 if (fallbacks)
                     fallbacks->inc();
-                Rng redo = trial_rng.deriveStream(delaySalt);
+                Rng redo = Rng::forTrial(seed, first_trial + i + j)
+                               .deriveStream(delaySalt);
                 const fault::DistributionOutcome out =
                     desimTrial(*this, plan, redo);
                 for (std::size_t c = 0; c < cells; ++c)
                     lane_scratch[c * stride + j] = out.cellArrival[c];
             }
             out_faults[i + j] = static_cast<double>(plan.size());
-            draws += plan.draws() + delay_rng.draws();
+            draws += plan.draws() + stages;
         }
         kernel->arrivalSkewBlock(
             std::span<const Time>(lane_scratch.data(), cells * stride),
@@ -174,36 +224,53 @@ ResilienceScenario::runTrialBlock(
     return draws;
 }
 
-ResilienceScenario
-compileResilienceScenario(const layout::Layout &l, int rows, int cols,
-                          DistributionKind kind, double fault_rate,
-                          const ResilienceConfig &rc,
-                          const core::KernelProvider &kernels)
+std::shared_ptr<const ResilienceDistribution>
+compileResilienceDistribution(const layout::Layout &l, int rows, int cols,
+                              DistributionKind kind, Length buffer_spacing,
+                              const core::KernelProvider &kernels)
 {
     VSYNC_ASSERT(static_cast<std::size_t>(rows) *
                          static_cast<std::size_t>(cols) ==
                      l.size(),
                  "grid %dx%d does not cover %zu cells", rows, cols,
                  l.size());
-    ResilienceScenario s;
-    s.kind = kind;
-    s.rows = rows;
-    s.cols = cols;
-    s.rc = rc;
-    s.rates = fault::FaultRates::mixed(fault_rate);
+    auto d = std::make_shared<ResilienceDistribution>();
+    d->kind = kind;
+    d->rows = rows;
+    d->cols = cols;
     if (kind == DistributionKind::TrixGrid) {
-        s.universe = fault::TrixGrid::universe(rows, cols);
-        s.kernel = kernels(l, nullptr);
+        d->universe = fault::TrixGrid::universe(rows, cols);
+        d->kernel = kernels(l, nullptr);
     } else {
-        s.tree = kind == DistributionKind::HTree
-                     ? clocktree::buildHTreeGrid(l, rows, cols)
-                     : clocktree::buildSpine(l);
-        s.btree = clocktree::BufferedClockTree::insertBuffers(
-            s.tree, rc.bufferSpacing);
-        s.universe = fault::universeOf(s.btree);
-        s.kernel = kernels(l, &s.tree);
+        const clocktree::ClockTree tree =
+            kind == DistributionKind::HTree
+                ? clocktree::buildHTreeGrid(l, rows, cols)
+                : clocktree::buildSpine(l);
+        d->btree = clocktree::BufferedClockTree::insertBuffers(
+            tree, buffer_spacing);
+        d->universe = fault::universeOf(d->btree);
+        d->kernel = kernels(l, &tree);
     }
-    return s;
+    d->cellNet.resize(l.size());
+    for (std::size_t c = 0; c < l.size(); ++c)
+        d->cellNet[c] =
+            kind == DistributionKind::TrixGrid
+                ? c
+                : d->btree.siteOfNode(
+                      d->kernel->nodeOfCell(static_cast<CellId>(c)));
+    return d;
+}
+
+ResilienceScenario
+compileResilienceScenario(const layout::Layout &l, int rows, int cols,
+                          DistributionKind kind, double fault_rate,
+                          const ResilienceConfig &rc,
+                          const core::KernelProvider &kernels)
+{
+    return ResilienceScenario(
+        compileResilienceDistribution(l, rows, cols, kind,
+                                      rc.bufferSpacing, kernels),
+        fault::FaultRates::mixed(fault_rate), rc);
 }
 
 ResiliencePoint
@@ -283,38 +350,51 @@ hybridSurvivalSweep(const hybrid::HybridNetwork &net, double fault_rate,
     fault::FaultRates rates;
     rates.severedHandshakeWire = fault_rate;
 
-    return runTrials(cfg, [&](std::uint64_t, Rng &rng) {
-        Rng plan_rng = rng.deriveStream(planSalt);
-        Rng jitter_rng = rng.deriveStream(delaySalt);
-        const fault::FaultPlan plan =
-            fault::FaultPlan::generate(universe, rates, plan_rng);
+    // A range function rather than runTrials: the trial draws only from
+    // derived substreams, which a TrialFn's draws() count would miss.
+    McResult result;
+    result.samples.assign(cfg.trials, 0.0);
+    ThreadPool pool(cfg.threads);
+    runTrialRanges(pool, cfg, [&](std::size_t begin, std::size_t end) {
+        std::uint64_t draws = 0;
+        for (std::size_t trial = begin; trial < end; ++trial) {
+            const Rng rng = Rng::forTrial(cfg.seed, trial);
+            Rng plan_rng = rng.deriveStream(planSalt);
+            Rng jitter_rng = rng.deriveStream(delaySalt);
+            const fault::FaultPlan plan =
+                fault::FaultPlan::generate(universe, rates, plan_rng);
 
-        // Map severed wires back to their element pairs; either wire of
-        // a pair down means the handshake never completes.
-        std::unordered_set<std::uint64_t> cut;
-        for (const fault::Fault &f : plan.faults()) {
-            const graph::Edge &e = edges[f.site / 2];
-            const std::uint64_t lo = std::min(e.src, e.dst);
-            const std::uint64_t hi = std::max(e.src, e.dst);
-            cut.insert(lo << 32 | hi);
+            // Map severed wires back to their element pairs; either
+            // wire of a pair down means the handshake never completes.
+            std::unordered_set<std::uint64_t> cut;
+            for (const fault::Fault &f : plan.faults()) {
+                const graph::Edge &e = edges[f.site / 2];
+                const std::uint64_t lo = std::min(e.src, e.dst);
+                const std::uint64_t hi = std::max(e.src, e.dst);
+                cut.insert(lo << 32 | hi);
+            }
+            const hybrid::HybridNetwork::SeveredFn severed =
+                [&cut](int a, int b) {
+                    const std::uint64_t lo =
+                        static_cast<std::uint64_t>(std::min(a, b));
+                    const std::uint64_t hi =
+                        static_cast<std::uint64_t>(std::max(a, b));
+                    return cut.count(lo << 32 | hi) != 0;
+                };
+
+            const hybrid::HybridRunResult res =
+                net.simulate(rounds, &jitter_rng, severed);
+            std::size_t alive = 0;
+            for (const Time t : res.lastCompletion)
+                alive += t < infinity;
+            result.samples[trial] = static_cast<double>(alive) /
+                                    static_cast<double>(elements);
+            draws += plan.draws() + jitter_rng.draws();
         }
-        const hybrid::HybridNetwork::SeveredFn severed =
-            [&cut](int a, int b) {
-                const std::uint64_t lo =
-                    static_cast<std::uint64_t>(std::min(a, b));
-                const std::uint64_t hi =
-                    static_cast<std::uint64_t>(std::max(a, b));
-                return cut.count(lo << 32 | hi) != 0;
-            };
-
-        const hybrid::HybridRunResult res =
-            net.simulate(rounds, &jitter_rng, severed);
-        std::size_t alive = 0;
-        for (const Time t : res.lastCompletion)
-            alive += t < infinity;
-        return static_cast<double>(alive) /
-               static_cast<double>(elements);
+        return draws;
     });
+    reduceInTrialOrder(result);
+    return result;
 }
 
 } // namespace vsync::mc

@@ -84,27 +84,63 @@ struct ResiliencePoint
 };
 
 /**
- * The shared read-only state of one resilience experiment, built once
- * before the trial fan-out: the distribution under test (tree + its
- * buffered form, or the grid dimensions), its fault universe and
- * rates, and the compiled kernel. Immutable after compile; safe to
- * share across threads. serve::SweepService compiles one of these per
- * resilience request (kernel via the scenario cache) and runs its
- * trials on the shared pool.
+ * The immutable half of a resilience experiment: the distribution under
+ * test (a buffered tree, or the grid dimensions), its fault universe,
+ * the net that clocks each cell, and the compiled kernel. It does not
+ * depend on the fault rates or the wire-delay spread, so one instance
+ * serves every rate: serve::ScenarioCache keeps one per shape, and a
+ * repeated shape only sets its rates. Safe to share across threads.
  */
-struct ResilienceScenario
+struct ResilienceDistribution
 {
     DistributionKind kind = DistributionKind::HTree;
     int rows = 0;
     int cols = 0;
     /** Tree distributions only; empty for TrixGrid. */
-    clocktree::ClockTree tree;
     clocktree::BufferedClockTree btree;
     fault::FaultUniverse universe;
-    fault::FaultRates rates;
-    ResilienceConfig rc;
+    /** Per cell, the net that clocks it: the buffered-tree site of its
+     *  tree node, or grid node r * cols + c for cell r * cols + c. */
+    std::vector<std::size_t> cellNet;
     /** Tree-compiled, or pairs-only for TrixGrid. */
     std::shared_ptr<const core::SkewKernel> kernel;
+};
+
+/**
+ * Build the distribution for @p kind over a rows x cols mesh layout
+ * @p l (cells row-major): tree distributions are buffered every
+ * @p buffer_spacing, and the kernel comes from @p kernels
+ * (tree-compiled, or pairs-only for TrixGrid).
+ */
+std::shared_ptr<const ResilienceDistribution>
+compileResilienceDistribution(const layout::Layout &l, int rows, int cols,
+                              DistributionKind kind, Length buffer_spacing,
+                              const core::KernelProvider &kernels);
+
+/**
+ * The shared read-only state of one resilience experiment, built once
+ * before the trial fan-out: a shared ResilienceDistribution plus the
+ * fault rates and delay constants of this experiment. serve::
+ * SweepService builds one per resilience request around the cached
+ * distribution of its shape and runs its trials on the shared pool.
+ */
+struct ResilienceScenario
+{
+    ResilienceScenario(std::shared_ptr<const ResilienceDistribution> d,
+                       const fault::FaultRates &r,
+                       const ResilienceConfig &config);
+    /** Declared so that no move constructor is: a moved-from scenario
+     *  would keep btree and kernel while its dist no longer holds
+     *  what they refer to. */
+    ResilienceScenario(const ResilienceScenario &) = default;
+
+    /** The distribution under test, never null. */
+    std::shared_ptr<const ResilienceDistribution> dist;
+    /** dist's buffered tree and kernel. */
+    const clocktree::BufferedClockTree &btree;
+    const std::shared_ptr<const core::SkewKernel> &kernel;
+    fault::FaultRates rates;
+    ResilienceConfig rc;
 
     /**
      * One trial, bit-identical for any thread count: draws the fault
@@ -124,18 +160,20 @@ struct ResilienceScenario
      * The trial-range entry point every resilience sweep runs on:
      * trials [first_trial, first_trial + count) for any count, in
      * core::SkewKernel::blockWidth() lane blocks plus one narrower
-     * remainder. Each trial draws the same plan and delays runTrial
-     * does and evaluates its faulty pulse in one levelized pass
-     * (fault::LevelizedPulse) instead of a desim event queue; a
-     * block's per-cell first arrivals go straight into a lane-major
-     * matrix reduced by a single core::SkewKernel::arrivalSkewBlock
-     * call -- trial j's slots are bitwise what runTrial would have
-     * produced, whatever range the caller cuts. A trial whose pass
-     * meets a same-time tie desim orders by event sequence reruns on
-     * a freshly built desim circuit and counts one inc() on
-     * @p fallbacks when set. @p lane_scratch is reusable across calls
-     * on the same thread. Returns the RNG draws the range consumed
-     * (plan plus delay substreams).
+     * remainder. A block draws its trials' fault plans together
+     * (fault::FaultPlan::generateBlock) and their wire delays through
+     * RngLanes8 into a stage-major lane matrix -- the draws runTrial
+     * makes, bit for bit -- then evaluates each trial's faulty pulse
+     * in one levelized pass (fault::LevelizedPulse) instead of a desim
+     * event queue. The block's per-cell first arrivals go straight
+     * into a lane-major matrix reduced by a single
+     * core::SkewKernel::arrivalSkewBlock call: trial j's slots are
+     * bitwise what runTrial would have produced, whatever range the
+     * caller cuts. A trial whose pass meets a same-time tie desim
+     * orders by event sequence reruns on a freshly built desim circuit
+     * and counts one inc() on @p fallbacks when set. @p lane_scratch
+     * is reusable across calls on the same thread. Returns the RNG
+     * draws the range consumed (plan plus delay substreams).
      */
     std::uint64_t
     runTrialBlock(std::uint64_t seed, std::uint64_t first_trial,
@@ -149,10 +187,9 @@ struct ResilienceScenario
 };
 
 /**
- * Build the shared state resilienceAtRate fans trials over: the
- * distribution for @p kind over a rows x cols mesh layout @p l (cells
- * row-major), fault::FaultRates::mixed(fault_rate), and the kernel
- * fetched from @p kernels (tree-compiled, or pairs-only for TrixGrid).
+ * compileResilienceDistribution for @p rc.bufferSpacing around
+ * fault::FaultRates::mixed(fault_rate): the state resilienceAtRate
+ * fans trials over.
  */
 ResilienceScenario
 compileResilienceScenario(const layout::Layout &l, int rows, int cols,

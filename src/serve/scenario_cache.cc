@@ -43,16 +43,11 @@ struct Hash128
     }
 };
 
-} // namespace
-
-ScenarioKey
-scenarioKeyOf(const layout::Layout &l, const clocktree::ClockTree *t)
+/** The layout's content: cell count, communication edges (in id
+ *  order), cell placements. */
+void
+hashLayout(Hash128 &h, const layout::Layout &l)
 {
-    Hash128 h;
-    // Domain tag first: pairs-only and tree-compiled kernels answer
-    // different queries, so they must never share a key.
-    h.word(t ? 0x7265656bull : 0x72696170ull);
-
     h.word(l.size());
     h.word(l.comm().edgeCount());
     for (const graph::Edge &e : l.comm().allEdges()) {
@@ -63,6 +58,34 @@ scenarioKeyOf(const layout::Layout &l, const clocktree::ClockTree *t)
         h.real(p.x);
         h.real(p.y);
     }
+}
+
+/** A resilience distribution's key: its own domain tag, the layout, and
+ *  what the distribution is built from besides it. */
+ScenarioKey
+distributionKeyOf(const layout::Layout &l, int rows, int cols,
+                  mc::DistributionKind kind, Length buffer_spacing)
+{
+    Hash128 h;
+    h.word(0x6c69736572ull);
+    hashLayout(h, l);
+    h.word(static_cast<std::uint64_t>(kind));
+    h.word(static_cast<std::uint64_t>(rows));
+    h.word(static_cast<std::uint64_t>(cols));
+    h.real(buffer_spacing);
+    return ScenarioKey{h.lo, h.hi};
+}
+
+} // namespace
+
+ScenarioKey
+scenarioKeyOf(const layout::Layout &l, const clocktree::ClockTree *t)
+{
+    Hash128 h;
+    // Domain tag first: pairs-only and tree-compiled kernels answer
+    // different queries, so they must never share a key.
+    h.word(t ? 0x7265656bull : 0x72696170ull);
+    hashLayout(h, l);
 
     if (t) {
         h.word(t->size());
@@ -90,21 +113,32 @@ ScenarioCache::ScenarioCache(Config config) : cfg(std::move(config))
 std::shared_ptr<const core::SkewKernel>
 ScenarioCache::get(const layout::Layout &l, const clocktree::ClockTree &t)
 {
-    return getOrCompile(scenarioKeyOf(l, &t), l, &t);
+    return std::get<std::shared_ptr<const core::SkewKernel>>(
+        getOrBuild(scenarioKeyOf(l, &t), [&]() -> Value {
+            return std::make_shared<const core::SkewKernel>(l, t);
+        }));
 }
 
 std::shared_ptr<const core::SkewKernel>
 ScenarioCache::get(const layout::Layout &l)
 {
-    return getOrCompile(scenarioKeyOf(l, nullptr), l, nullptr);
+    return std::get<std::shared_ptr<const core::SkewKernel>>(
+        getOrBuild(scenarioKeyOf(l, nullptr), [&]() -> Value {
+            return std::make_shared<const core::SkewKernel>(l);
+        }));
 }
 
-core::KernelProvider
-ScenarioCache::provider()
+std::shared_ptr<const mc::ResilienceDistribution>
+ScenarioCache::distribution(const layout::Layout &l, int rows, int cols,
+                            mc::DistributionKind kind, Length buffer_spacing)
 {
-    return [this](const layout::Layout &l, const clocktree::ClockTree *t) {
-        return t ? get(l, *t) : get(l);
-    };
+    return std::get<std::shared_ptr<const mc::ResilienceDistribution>>(
+        getOrBuild(distributionKeyOf(l, rows, cols, kind, buffer_spacing),
+                   [&]() -> Value {
+                       return mc::compileResilienceDistribution(
+                           l, rows, cols, kind, buffer_spacing,
+                           core::directCompile());
+                   }));
 }
 
 std::size_t
@@ -120,13 +154,12 @@ ScenarioCache::compileMillis() const
     return compileMs.load(std::memory_order_relaxed);
 }
 
-ScenarioCache::KernelPtr
-ScenarioCache::getOrCompile(const ScenarioKey &key,
-                            const layout::Layout &l,
-                            const clocktree::ClockTree *t)
+ScenarioCache::Value
+ScenarioCache::getOrBuild(const ScenarioKey &key,
+                          const std::function<Value()> &build)
 {
-    std::shared_future<KernelPtr> future;
-    std::promise<KernelPtr> promise;
+    std::shared_future<Value> future;
+    std::promise<Value> promise;
     bool compiler = false;
     std::uint64_t myGeneration = 0;
 
@@ -137,7 +170,7 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
             // Hit (possibly on a compile still in flight -- we then
             // block on the future below, outside the lock).
             lru.splice(lru.begin(), lru, it->second.lruPos);
-            future = it->second.kernel;
+            future = it->second.value;
             hitCount.fetch_add(1, std::memory_order_relaxed);
             if (cfg.metrics)
                 cfg.metrics->counter("serve.cache.hits").inc();
@@ -170,13 +203,11 @@ ScenarioCache::getOrCompile(const ScenarioKey &key,
     if (compiler) {
         try {
             const auto t0 = std::chrono::steady_clock::now();
-            KernelPtr kernel =
-                t ? std::make_shared<const core::SkewKernel>(l, *t)
-                  : std::make_shared<const core::SkewKernel>(l);
+            Value value = build();
             const std::chrono::duration<double, std::milli> dt =
                 std::chrono::steady_clock::now() - t0;
             noteCompiled(dt.count());
-            promise.set_value(std::move(kernel));
+            promise.set_value(std::move(value));
         } catch (...) {
             // Poisoned entries must not persist: drop ours -- and only
             // ours; after an eviction the slot may hold a fresh compile

@@ -1,6 +1,7 @@
 /**
  * @file
- * Content-addressed cache of compiled skew kernels.
+ * Content-addressed cache of compiled skew kernels and resilience
+ * distributions.
  *
  * PR 4's core::SkewKernel made scenario compilation a one-time cost
  * per sweep, but every caller still compiled its own kernel per call:
@@ -9,13 +10,17 @@
  * again and again. The ScenarioCache closes that gap: scenarios are
  * keyed by a content hash of their topology and geometry (not by
  * object identity, so two independently built but identical scenarios
- * share one kernel), kernels are handed out as shared_ptr<const> and
+ * share one kernel), entries are handed out as shared_ptr<const> and
  * therefore safe to use read-only from any number of threads, and a
- * bounded LRU keeps the working set in check.
+ * bounded LRU keeps the working set in check. A resilience request's
+ * shape (layout, distribution kind, grid size, buffer spacing) is one
+ * entry too: its mc::ResilienceDistribution -- buffered tree, fault
+ * universe, cell-to-net map and its own kernel -- so a repeated shape
+ * builds no tree, whatever its fault rate.
  *
- * Concurrency contract: get() is thread-safe. When several threads ask
- * for the same not-yet-cached scenario at once, exactly one compiles;
- * the others block on a shared_future and receive the same kernel
+ * Concurrency contract: every lookup is thread-safe. When several
+ * threads ask for the same not-yet-cached entry at once, exactly one
+ * builds it; the others block on a shared_future and receive the same
  * object. Eviction of an entry that is still being waited on is safe:
  * waiters hold the future's shared state, the cache merely forgets it.
  */
@@ -25,14 +30,17 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <variant>
 
 #include "core/skew_kernel.hh"
+#include "mc/resilience.hh"
 
 namespace vsync::obs
 {
@@ -65,13 +73,13 @@ struct ScenarioKey
 ScenarioKey scenarioKeyOf(const layout::Layout &l,
                           const clocktree::ClockTree *t);
 
-/** A bounded, thread-safe, LRU kernel cache. */
+/** A bounded, thread-safe, LRU cache of kernels and distributions. */
 class ScenarioCache
 {
   public:
     struct Config
     {
-        /** Max resident kernels; at least 1. */
+        /** Max resident entries; at least 1. */
         std::size_t capacity = 32;
         /**
          * Optional registry receiving "serve.cache.hits" / "misses" /
@@ -100,38 +108,47 @@ class ScenarioCache
     std::shared_ptr<const core::SkewKernel> get(const layout::Layout &l);
 
     /**
-     * This cache as a core::KernelProvider, pluggable into
-     * mc::compileResilienceScenario. The provider borrows the cache;
-     * keep the cache alive while the provider is in use.
+     * The resilience distribution of a rows x cols mesh layout @p l
+     * under @p kind, trees buffered every @p buffer_spacing
+     * (mc::compileResilienceDistribution, its kernel compiled for it);
+     * built on first use, then shared by every request of that shape
+     * at any fault rate. The key is the layout's content plus kind,
+     * rows, cols and spacing.
      */
-    core::KernelProvider provider();
+    std::shared_ptr<const mc::ResilienceDistribution>
+    distribution(const layout::Layout &l, int rows, int cols,
+                 mc::DistributionKind kind, Length buffer_spacing);
 
-    /** Resident kernels (compiles in flight count). */
+    /** Resident entries (builds in flight count). */
     std::size_t size() const;
 
-    /** Lookups that found a resident or in-flight kernel. */
+    /** Lookups that found a resident or in-flight entry. */
     std::uint64_t hits() const
     {
         return hitCount.load(std::memory_order_relaxed);
     }
 
-    /** Lookups that had to compile. */
+    /** Lookups that had to compile or build. */
     std::uint64_t misses() const
     {
         return missCount.load(std::memory_order_relaxed);
     }
 
-    /** Kernels evicted by the LRU bound. */
+    /** Entries evicted by the LRU bound. */
     std::uint64_t evictions() const
     {
         return evictionCount.load(std::memory_order_relaxed);
     }
 
-    /** Wall-clock milliseconds spent compiling, cumulative. */
+    /** Wall-clock milliseconds spent compiling and building,
+     *  cumulative. */
     double compileMillis() const;
 
   private:
-    using KernelPtr = std::shared_ptr<const core::SkewKernel>;
+    /** What an entry holds; the key's domain tag says which. */
+    using Value =
+        std::variant<std::shared_ptr<const core::SkewKernel>,
+                     std::shared_ptr<const mc::ResilienceDistribution>>;
 
     struct KeyHash
     {
@@ -144,16 +161,15 @@ class ScenarioCache
 
     struct Entry
     {
-        std::shared_future<KernelPtr> kernel;
+        std::shared_future<Value> value;
         std::list<ScenarioKey>::iterator lruPos;
         /** Distinguishes re-inserted entries from the one a failed
-         *  compile must remove. */
+         *  build must remove. */
         std::uint64_t generation = 0;
     };
 
-    KernelPtr getOrCompile(const ScenarioKey &key,
-                           const layout::Layout &l,
-                           const clocktree::ClockTree *t);
+    Value getOrBuild(const ScenarioKey &key,
+                     const std::function<Value()> &build);
     void noteCompiled(double ms);
 
     Config cfg;

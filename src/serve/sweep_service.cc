@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -24,8 +25,9 @@ struct Compiled
     bool ready = false;
     /** Skew requests: the cached kernel. */
     std::shared_ptr<const core::SkewKernel> kernel;
-    /** Resilience requests: the full scenario. */
-    mc::ResilienceScenario scenario;
+    /** Resilience requests: the scenario around the cached
+     *  distribution of its shape. */
+    std::optional<mc::ResilienceScenario> scenario;
 };
 
 const mc::McConfig &
@@ -87,8 +89,9 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     out.outcomes.resize(batch.size());
     std::atomic<bool> deadlineHit{false};
 
-    // Phase 1 -- compile. Kernels come through the cache, so repeated
-    // scenarios within the batch (and across batches) compile once.
+    // Phase 1 -- compile. Kernels and resilience distributions come
+    // through the cache, so repeated scenarios and shapes within the
+    // batch (and across batches) compile once.
     // Cancellation and the deadline are honoured between compiles; a
     // request whose compile was skipped contributes no work units.
     std::vector<Compiled> compiled(batch.size());
@@ -112,9 +115,10 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                 std::get<ResilienceRequest>(batch[r]);
             VSYNC_ASSERT(q.layout,
                          "resilience request %zu lacks a layout", r);
-            compiled[r].scenario = mc::compileResilienceScenario(
-                *q.layout, q.rows, q.cols, q.kind, q.faultRate, q.rc,
-                kernels.provider());
+            compiled[r].scenario.emplace(
+                kernels.distribution(*q.layout, q.rows, q.cols, q.kind,
+                                     q.rc.bufferSpacing),
+                fault::FaultRates::mixed(q.faultRate), q.rc);
             compiled[r].ready = true;
         }
     }
@@ -176,7 +180,7 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                     const ResilienceRequest &q =
                         std::get<ResilienceRequest>(batch[w.request]);
                     std::vector<Time> laneScratch;
-                    compiled[w.request].scenario.runTrialBlock(
+                    compiled[w.request].scenario->runTrialBlock(
                         mcc.seed, q.trialOffset + w.begin, n,
                         {o.resilience.maxCommSkew.samples.data() +
                              w.begin,

@@ -87,6 +87,60 @@ TEST(FaultPlan, KindsDrawFromIndependentSubstreams)
     EXPECT_EQ(withoutDrift.count(FaultKind::DelayDrift), 0u);
 }
 
+TEST(FaultPlan, GenerateBlockMatchesGenerateBitForBit)
+{
+    // Lane plans equal scalar ones fault for fault and draw for draw on
+    // tree, spine and grid universes and one with handshake wires, for
+    // every block width (narrow blocks pad dummy lanes). At rate 1 with
+    // an onset window a drift fault takes three draws per site, so
+    // every lane spends its buffered draws early and finishes on its
+    // own stream.
+    const layout::Layout l = layout::meshLayout(8, 8);
+    const auto htree = clocktree::BufferedClockTree::insertBuffers(
+        clocktree::buildHTreeGrid(l, 8, 8), 4.0);
+    const auto spine = clocktree::BufferedClockTree::insertBuffers(
+        clocktree::buildSpine(l), 4.0);
+    const FaultUniverse universes[] = {universeOf(htree), universeOf(spine),
+                                       TrixGrid::universe(8, 8),
+                                       testUniverse()};
+    std::vector<FaultPlan> plans(8);
+    PlanLaneScratch scratch;
+    std::size_t continued = 0;
+    for (const FaultUniverse &u : universes) {
+        for (const double rate : {0.0, 0.02, 0.3, 1.0}) {
+            for (const Time window : {0.0, 3.0}) {
+                FaultRates rates = FaultRates::uniform(rate);
+                rates.onsetWindow = window;
+                for (std::size_t w = 1; w <= 8; ++w) {
+                    std::vector<Rng> rngs;
+                    for (std::size_t j = 0; j < w; ++j)
+                        rngs.push_back(Rng::forTrial(0xb10c + w, j));
+                    FaultPlan::generateBlock(
+                        u, rates, rngs,
+                        std::span<FaultPlan>(plans.data(), w), scratch);
+                    for (std::size_t j = 0; j < w; ++j) {
+                        SCOPED_TRACE(testing::Message()
+                                     << u.bufferSites << " stages, rate "
+                                     << rate << " window " << window
+                                     << " width " << w << " lane " << j);
+                        const FaultPlan ref =
+                            FaultPlan::generate(u, rates, rngs[j]);
+                        EXPECT_TRUE(plans[j] == ref);
+                        EXPECT_EQ(plans[j].draws(), ref.draws());
+                        const std::uint64_t bernoullis =
+                            rate > 0.0 ? 2 * u.bufferSites +
+                                             2 * u.clockNets +
+                                             u.handshakeWires
+                                       : 0;
+                        continued += ref.draws() > bernoullis;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(continued, 0u);
+}
+
 TEST(FaultPlan, RatesScaleTheFaultCount)
 {
     const FaultUniverse u = testUniverse();
@@ -577,6 +631,48 @@ TEST(LevelizedPulse, StuckHighParentOverAZeroDelayChildFollowsPlanOrder)
     for (std::size_t k = 0; k < gridPlans.size(); ++k) {
         SCOPED_TRACE(testing::Message() << "grid plan " << k);
         EXPECT_TRUE(gridAgrees(8, 8, 10, gridPlans[k], zeroLinks));
+    }
+}
+
+TEST(LevelizedPulse, EqualLinkDelaysTieEveryVoteAndMatchDesim)
+{
+    // Every link has the same delay, so each node's three link rises
+    // arrive at one time and the vote's tie order (lower link first)
+    // picks the rise it records. Every net must still match desim,
+    // with no fault and with the root stuck high while arming.
+    const TrixGrid::LinkDelayFn same = [](int, int, int) { return 0.25; };
+    for (const int side : {4, 16}) {
+        const std::size_t root = static_cast<std::size_t>(side) * side;
+        const FaultPlan plans[] = {
+            FaultPlan(),
+            planOf({{FaultKind::StuckAtNet, root, 0.0, 1.0, true}})};
+        for (const FaultPlan &plan : plans) {
+            SCOPED_TRACE(testing::Message()
+                         << side << "x" << side << ", " << plan.size()
+                         << " faults");
+            desim::Simulator sim;
+            TrixGrid grid(sim, side, side, same);
+            std::vector<std::vector<Time>> netRises(root + 1);
+            for (std::size_t i = 0; i <= root; ++i)
+                grid.netSignal(i).onChange([&netRises, i](Time t, bool v) {
+                    if (v)
+                        netRises[i].push_back(t);
+                });
+            FaultInjector(sim, plan).armTrixGrid(grid);
+            grid.pulse();
+
+            LevelizedPulse pulse;
+            ASSERT_TRUE(pulse.grid(side, side, same, plan));
+            for (std::size_t i = 0; i <= root; ++i)
+                EXPECT_EQ(pulse.risingArrivals(i), netRises[i])
+                    << "net " << i;
+            for (int r = 0; r < side; ++r)
+                for (int c = 0; c < side; ++c)
+                    EXPECT_EQ(pulse.firstRise(
+                                  static_cast<std::size_t>(r) * side + c),
+                              grid.arrival(r, c))
+                        << "node " << r << "," << c;
+        }
     }
 }
 

@@ -22,6 +22,7 @@
 #include "fault/injector.hh"
 #include "fault/trix_grid.hh"
 #include "hybrid/network.hh"
+#include "hybrid/partition.hh"
 #include "layout/generators.hh"
 #include "mc/montecarlo.hh"
 #include "mc/resilience.hh"
@@ -659,6 +660,38 @@ TEST(McMetrics, ResilienceSweepCountsFaultsByKind)
                                    mc::DistributionKind::TrixGrid, 0.2,
                                    mc::ResilienceConfig{}, other);
         EXPECT_EQ(again.counter("mc.sweep.rng_draws").value(), draws)
+            << threads << " threads";
+    }
+}
+
+TEST(McMetrics, HybridSurvivalSweepCountsEveryDraw)
+{
+    // A trial draws only from substreams of its Rng::forTrial stream:
+    // one Bernoulli per handshake wire (two per element pair; a severed
+    // wire takes no further draw) for its plan, and one jitter per
+    // element per round for the network run.
+    const layout::Layout l = layout::meshLayout(8, 8);
+    const hybrid::Partition part = hybrid::partitionGrid(l, 4.0);
+    hybrid::HybridParams params;
+    params.jitterAmplitude = 0.02;
+    const hybrid::HybridNetwork net(part, params);
+    const int rounds = 5;
+    const std::uint64_t perTrial =
+        2 * part.elementGraph.undirectedEdges().size() +
+        static_cast<std::uint64_t>(rounds) *
+            static_cast<std::uint64_t>(part.elementCount);
+    for (const unsigned threads : {1u, 4u}) {
+        obs::MetricsRegistry reg;
+        mc::McConfig cfg;
+        cfg.trials = 12;
+        cfg.grain = 3;
+        cfg.threads = threads;
+        cfg.metrics = &reg;
+        cfg.metricsName = "hybrid";
+        (void)mc::hybridSurvivalSweep(net, 0.1, rounds, cfg);
+        EXPECT_EQ(reg.counter("mc.hybrid.trials").value(), cfg.trials);
+        EXPECT_EQ(reg.counter("mc.hybrid.rng_draws").value(),
+                  cfg.trials * perTrial)
             << threads << " threads";
     }
 }

@@ -214,6 +214,56 @@ TEST(SweepService, ResilienceBatchMatchesMcAtAllThreadCounts)
     }
 }
 
+TEST(SweepService, ResilienceShapeIsBuiltOncePerCachedDistribution)
+{
+    // Two H-tree requests of one shape at different fault rates: the
+    // second builds no tree (one cache entry, a hit) and both match
+    // the uncached sweep bit for bit. Evicting the entry frees the
+    // distribution: nothing else keeps it alive.
+    const layout::Layout l = layout::meshLayout(8, 8);
+    mc::McConfig cfg;
+    cfg.seed = 0xd157;
+    cfg.trials = 20;
+    cfg.grain = 8;
+    const mc::ResilienceConfig rc;
+    serve::ServiceConfig sc;
+    sc.threads = 2;
+    sc.cacheCapacity = 1;
+    serve::SweepService svc(sc);
+    serve::ResilienceRequest rq;
+    rq.layout = &l;
+    rq.rows = 8;
+    rq.cols = 8;
+    rq.kind = mc::DistributionKind::HTree;
+    rq.rc = rc;
+    rq.cfg = cfg;
+    std::uint64_t hits = 0;
+    for (const double rate : {0.02, 0.2}) {
+        rq.faultRate = rate;
+        const serve::BatchOutcome out = svc.run({rq});
+        const mc::ResiliencePoint ref = mc::resilienceAtRate(
+            l, 8, 8, mc::DistributionKind::HTree, rate, rc, cfg);
+        const auto &got = out.outcomes.at(0).resilience;
+        EXPECT_TRUE(got.maxCommSkew.bitIdentical(ref.maxCommSkew)) << rate;
+        EXPECT_TRUE(got.clockedFraction.bitIdentical(ref.clockedFraction))
+            << rate;
+        EXPECT_EQ(got.meanFaults, ref.meanFaults) << rate;
+        EXPECT_EQ(svc.cache().misses(), 1u) << rate;
+        EXPECT_EQ(svc.cache().size(), 1u) << rate;
+        EXPECT_EQ(svc.cache().hits(), hits++) << rate;
+    }
+
+    std::weak_ptr<const mc::ResilienceDistribution> held =
+        svc.cache().distribution(l, 8, 8, mc::DistributionKind::HTree,
+                                 rc.bufferSpacing);
+    EXPECT_EQ(svc.cache().hits(), hits);
+    EXPECT_FALSE(held.expired());
+    rq.kind = mc::DistributionKind::TrixGrid; // another shape evicts it
+    svc.run({rq});
+    EXPECT_EQ(svc.cache().evictions(), 1u);
+    EXPECT_TRUE(held.expired());
+}
+
 TEST(SweepService, ZeroDeadlineExpiresBeforeAnyTrial)
 {
     const layout::Layout l = layout::meshLayout(4, 4);
