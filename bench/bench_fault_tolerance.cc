@@ -23,7 +23,12 @@
  *     built desim circuit per trial) on the 16x16 TRIX grid and
  *     H-tree at fault rate 0.02, in interleaved A/B repeats. Every
  *     repeat's samples must be bit-identical, and the median of the
- *     per-repeat speedups must reach levelizedSpeedupGate.
+ *     per-repeat speedups must reach levelizedSpeedupGate. Then the
+ *     pulse alone on the TRIX grid, H-tree and spine: eight trials per
+ *     fault::LevelizedPulse lane pass against one trial per width-1
+ *     pass (tree() / grid()), in interleaved repeats, with the share
+ *     of (trial, net) pairs that took the transition-list path. Every
+ *     lane's rising edges on every net must equal its width-1 run's.
  *  5. Lane plans and the cached distribution, in interleaved repeats:
  *     fault-plan generation per trial at rate 0.02 on the TRIX grid
  *     and the H-tree, eight trials at a time through
@@ -36,7 +41,8 @@
  *
  * Results go to stdout as tables and to BENCH_fault_tolerance.json;
  * the exit code is nonzero if any masking, degradation, determinism,
- * bit-identity (levelized or lane-plan) or speedup property fails.
+ * bit-identity (levelized, lane pass or lane-plan) or speedup property
+ * fails.
  */
 
 #include <chrono>
@@ -47,6 +53,7 @@
 #include "clocktree/buffering.hh"
 #include "clocktree/builders.hh"
 #include "fault/injector.hh"
+#include "fault/levelized.hh"
 #include "hybrid/partition.hh"
 #include "layout/generators.hh"
 #include "mc/resilience.hh"
@@ -65,6 +72,10 @@ constexpr int cols = 16;
 constexpr int timingRepeats = 7;
 constexpr std::size_t timingTrials = 256;
 constexpr double levelizedSpeedupGate = 3.0;
+
+/** Section 4's lane pass: trials per repeat (whole eight-trial
+ *  blocks); it takes laneRepeats repeats. */
+constexpr std::size_t pulseTrials = 256;
 
 /** Section 5: interleaved repeats, trials per plan repeat (whole
  *  eight-trial blocks), and served compiles per compile repeat. */
@@ -238,6 +249,121 @@ double
 iqr(const SampleSet &x)
 {
     return x.quantile(0.75) - x.quantile(0.25);
+}
+
+/** Section 4's lane-pass result for one distribution. */
+struct LanePassSummary
+{
+    SampleSet laneUs;   // per trial, one sample per repeat
+    SampleSet singleUs;
+    /** (trial, net) pairs on the transition-list path, over all. */
+    double scalarFraction = 0.0;
+    bool identical = true;
+};
+
+/**
+ * The faulty pulses of trials [0, pulseTrials) on a 16x16 TRIX grid
+ * (@p btree null) or buffered tree: trial t's plan is
+ * FaultPlan::forTrial at rate 0.02 and its stage delays come from the
+ * resilience model's wire and buffer delays. @p laneRepeats
+ * interleaved repeats time A, every eight-trial block through one lane
+ * pass, against B, every trial through its own width-1 pass; then
+ * each block's lanes are checked against their width-1 runs on every
+ * net, declines included.
+ */
+LanePassSummary
+timeLanePass(const clocktree::BufferedClockTree *btree,
+             const mc::ResilienceConfig &rc, std::uint64_t seed)
+{
+    using Clock = std::chrono::steady_clock;
+    constexpr std::size_t lanes = fault::LevelizedPulse::lanes;
+    const bool grid = btree == nullptr;
+    const std::size_t nets =
+        grid ? rows * cols + 1 : btree->sites().size();
+    const std::size_t stages = grid ? 3 * rows * cols : nets - 1;
+    const fault::FaultUniverse u =
+        grid ? fault::TrixGrid::universe(rows, cols)
+             : fault::universeOf(*btree);
+    std::vector<fault::FaultPlan> plans(pulseTrials);
+    // delays[(t / 8 * stages + s) * 8 + t % 8]: block-wise stage-major.
+    std::vector<double> delays(pulseTrials * stages);
+    for (std::size_t t = 0; t < pulseTrials; ++t) {
+        plans[t] = fault::FaultPlan::forTrial(
+            u, fault::FaultRates::mixed(0.02), seed, t);
+        Rng rng = Rng::forTrial(seed, t).deriveStream(2);
+        for (std::size_t s = 0; s < stages; ++s) {
+            const double unit = rng.uniform(rc.delay.lo(), rc.delay.hi());
+            const double d =
+                grid ? rc.bufferDelay + unit
+                     : btree->sites()[s + 1].wireFromParent * unit +
+                           (btree->sites()[s + 1].isBuffer ? rc.bufferDelay
+                                                           : 0.0);
+            delays[(t / lanes * stages + s) * lanes + t % lanes] = d;
+        }
+    }
+    const auto runBlock = [&](fault::LevelizedPulse &p, std::size_t b) {
+        const std::span<double> d = p.laneDelays(stages);
+        std::copy_n(delays.begin() + static_cast<std::ptrdiff_t>(
+                                         b * stages * lanes),
+                    stages * lanes, d.begin());
+        const std::span<const fault::FaultPlan> block(
+            plans.data() + b * lanes, lanes);
+        return grid ? p.gridLanes(rows, cols, block)
+                    : p.treeLanes(*btree, block);
+    };
+    const auto runOne = [&](fault::LevelizedPulse &p, std::size_t t) {
+        const double *col =
+            delays.data() + t / lanes * stages * lanes + t % lanes;
+        if (grid)
+            return p.grid(
+                rows, cols,
+                [=](int r, int c, int k) {
+                    return col[((static_cast<std::size_t>(r) * cols + c) *
+                                    3 +
+                                k) *
+                               lanes];
+                },
+                plans[t]);
+        return p.tree(
+            *btree,
+            [=](const clocktree::BufferedSite &, std::size_t i) {
+                return desim::EdgeDelays::same(col[(i - 1) * lanes]);
+            },
+            plans[t]);
+    };
+
+    LanePassSummary s;
+    fault::LevelizedPulse lanePass, singlePass;
+    for (int rep = 0; rep < laneRepeats; ++rep) {
+        const auto a0 = Clock::now();
+        for (std::size_t b = 0; b < pulseTrials / lanes; ++b)
+            (void)runBlock(lanePass, b);
+        const auto a1 = Clock::now();
+        for (std::size_t t = 0; t < pulseTrials; ++t)
+            (void)runOne(singlePass, t);
+        const auto b1 = Clock::now();
+        const double n = static_cast<double>(pulseTrials);
+        s.laneUs.add(
+            std::chrono::duration<double, std::micro>(a1 - a0).count() / n);
+        s.singleUs.add(
+            std::chrono::duration<double, std::micro>(b1 - a1).count() / n);
+    }
+    std::size_t scalar = 0;
+    for (std::size_t b = 0; b < pulseTrials / lanes; ++b) {
+        const std::uint8_t declined = runBlock(lanePass, b);
+        scalar += lanePass.scalarNets();
+        for (std::size_t j = 0; j < lanes; ++j) {
+            const bool ok = runOne(singlePass, b * lanes + j);
+            s.identical = s.identical && ok == !(declined >> j & 1u);
+            for (std::size_t net = 0; ok && net < nets; ++net)
+                s.identical = s.identical &&
+                              lanePass.risingArrivals(net, j) ==
+                                  singlePass.risingArrivals(net);
+        }
+    }
+    s.scalarFraction = static_cast<double>(scalar) /
+                       static_cast<double>(pulseTrials * nets);
+    return s;
 }
 
 /** Section 5's plan timing for one universe. */
@@ -556,6 +682,47 @@ main(int argc, char **argv)
         .endObject();
     emitTable(timingTable, opts);
 
+    Table pulseTable(
+        "per-trial pulse time (16x16, rate 0.02, " +
+            std::to_string(laneRepeats) + " interleaved repeats of " +
+            std::to_string(pulseTrials) + " trials, " + RngLanes8::isa() +
+            " clone)",
+        {"distribution", "lane pass us (median)", "lane IQR",
+         "width-1 us (median)", "width-1 IQR", "transition-list nets",
+         "lanes = width-1"});
+    bool lanePassIdentical = true;
+    json.key("lane_pass").beginObject()
+        .keyValue("isa", RngLanes8::isa())
+        .keyValue("fault_rate", 0.02)
+        .keyValue("repeats", laneRepeats)
+        .keyValue("trials_per_repeat",
+                  static_cast<std::uint64_t>(pulseTrials));
+    const auto spineTree = clocktree::BufferedClockTree::insertBuffers(
+        clocktree::buildSpine(l), rc.bufferSpacing);
+    const std::pair<const char *, const clocktree::BufferedClockTree *>
+        pulseShapes[] = {
+            {"trix-grid", nullptr}, {"htree", &btree}, {"spine", &spineTree}};
+    for (const auto &[name, shape] : pulseShapes) {
+        const LanePassSummary t = timeLanePass(shape, rc, seed);
+        lanePassIdentical = lanePassIdentical && t.identical;
+        pulseTable.addRow({name, Table::fixed(t.laneUs.median(), 2),
+                           Table::fixed(iqr(t.laneUs), 2),
+                           Table::fixed(t.singleUs.median(), 2),
+                           Table::fixed(iqr(t.singleUs), 2),
+                           Table::fixed(100.0 * t.scalarFraction, 2) + "%",
+                           t.identical ? "yes" : "NO"});
+        json.key(name).beginObject()
+            .keyValue("lane_us_per_trial_median", t.laneUs.median())
+            .keyValue("lane_us_per_trial_iqr", iqr(t.laneUs))
+            .keyValue("width1_us_per_trial_median", t.singleUs.median())
+            .keyValue("width1_us_per_trial_iqr", iqr(t.singleUs))
+            .keyValue("scalar_net_fraction", t.scalarFraction)
+            .keyValue("bit_identical", t.identical)
+            .endObject();
+    }
+    json.keyValue("bit_identical", lanePassIdentical).endObject();
+    emitTable(pulseTable, opts);
+
     // --- 5. Lane plans and the cached distribution. ----------------
     bench::headline(
         "Lane plans and the cached distribution: generateBlock against "
@@ -617,7 +784,8 @@ main(int argc, char **argv)
     const bool ok = treeAlwaysLoses && gridAlwaysMasks &&
                     gridZeroDegradation && degradationMonotone &&
                     gridBeatsTree && deterministic && levelizedIdentical &&
-                    levelizedFastEnough && lanePlansIdentical;
+                    levelizedFastEnough && lanePassIdentical &&
+                    lanePlansIdentical;
     json.keyValue("degradation_monotone", degradationMonotone)
         .keyValue("grid_clocked_fraction_beats_tree", gridBeatsTree)
         .keyValue("bit_identical_across_thread_counts", deterministic)
@@ -627,14 +795,15 @@ main(int argc, char **argv)
         "\nwrote BENCH_fault_tolerance.json (tree lost cells on "
         "%zu/%zu single faults, grid masked %zu/%zu with %s skew "
         "degradation; sweeps %s across 1/2/8 threads; levelized trials "
-        "%s desim and %s the %.0fx speedup gate; lane plans %s scalar "
-        "ones)\n",
+        "%s desim and %s the %.0fx speedup gate; lane passes %s "
+        "width-1 passes; lane plans %s scalar ones)\n",
         treePass.sites - treePass.masked, treePass.sites,
         gridPass.masked, gridPass.sites,
         gridZeroDegradation ? "zero" : "NONZERO",
         deterministic ? "bit-identical" : "DIVERGED",
         levelizedIdentical ? "match" : "DIVERGE FROM",
         levelizedFastEnough ? "meet" : "MISS", levelizedSpeedupGate,
+        lanePassIdentical ? "match" : "DIVERGE FROM",
         lanePlansIdentical ? "match" : "DIVERGE FROM");
     if (!ok)
         std::printf("PROPERTY FAILURE: see "

@@ -1,6 +1,7 @@
 #include "mc/resilience.hh"
 
 #include <array>
+#include <cstring>
 #include <unordered_set>
 
 #include "clocktree/buffering.hh"
@@ -80,6 +81,28 @@ desimTrial(const ResilienceScenario &s, const fault::FaultPlan &plan,
         plan);
 }
 
+/** A thread's reusable runTrialBlock buffers: the lane pass, the plan
+ *  scratch and the block's plans. */
+struct TrialWorkspace
+{
+    fault::LevelizedPulse pulse;
+    fault::PlanLaneScratch planScratch;
+    std::array<fault::FaultPlan, fault::LevelizedPulse::lanes> plans;
+};
+
+/** Shapes up to this many stages (a 16x16 H-tree has 766) keep their
+ *  workspace on the thread across calls, about 330 bytes a stage, so
+ *  at most about 2.6 MiB; a larger shape builds one per call, so one
+ *  huge request cannot pin its buffers on every pool thread. */
+constexpr std::size_t retainedStages = std::size_t{1} << 13;
+
+TrialWorkspace &
+threadWorkspace()
+{
+    thread_local TrialWorkspace ws;
+    return ws;
+}
+
 const ResilienceDistribution &
 checked(const std::shared_ptr<const ResilienceDistribution> &d)
 {
@@ -125,15 +148,18 @@ ResilienceScenario::runTrialBlock(
     std::span<double> out_faults,
     const std::array<obs::Counter *, fault::faultKindCount>
         *kind_counters,
-    std::vector<Time> &lane_scratch, obs::Counter *fallbacks) const
+    std::vector<Time> &lane_scratch, obs::Counter *fallbacks,
+    obs::Counter *scalar_nets) const
 {
     VSYNC_ASSERT(out_skew.size() == count &&
                      out_clocked.size() == count &&
                      out_faults.size() == count,
                  "output spans must cover the %zu range trials", count);
     constexpr std::size_t blockW = core::SkewKernel::blockWidth();
-    static_assert(blockW == RngLanes8::width,
-                  "a block's delays are one RngLanes8 fill");
+    static_assert(blockW == RngLanes8::width &&
+                      blockW == fault::LevelizedPulse::lanes,
+                  "a block's delays are one RngLanes8 fill and its pulses "
+                  "one lane pass");
     const ResilienceDistribution &d = *dist;
     const bool grid = d.kind == DistributionKind::TrixGrid;
     const std::size_t cells = kernel->cellCount();
@@ -143,14 +169,15 @@ ResilienceScenario::runTrialBlock(
         grid ? 3 * static_cast<std::size_t>(d.rows) *
                    static_cast<std::size_t>(d.cols)
              : btree.sites().size() - 1;
-    fault::LevelizedPulse pulse;
-    fault::PlanLaneScratch planScratch;
-    std::array<fault::FaultPlan, blockW> plans;
+    TrialWorkspace scoped;
+    TrialWorkspace &ws =
+        stages <= retainedStages ? threadWorkspace() : scoped;
+    fault::LevelizedPulse &pulse = ws.pulse;
+    std::array<fault::FaultPlan, blockW> &plans = ws.plans;
     std::array<Rng, blockW> planRng, delayRng;
-    // units[stage * blockW + j]: trial j's unit delay of that stage.
-    std::vector<double> units(stages * blockW);
     std::array<core::ArrivalSkew, blockW> reduced;
     std::uint64_t draws = 0;
+    std::size_t scalarNets = 0;
     for (std::size_t i = 0; i < count; i += blockW) {
         const std::size_t w = std::min(blockW, count - i);
         const std::size_t stride = core::SkewKernel::laneStride(w);
@@ -164,41 +191,40 @@ ResilienceScenario::runTrialBlock(
         }
         fault::FaultPlan::generateBlock(d.universe, rates,
                                         {planRng.data(), w},
-                                        {plans.data(), w}, planScratch);
+                                        {plans.data(), w}, ws.planScratch);
+        // The unit delays, stage-major with lane j in column j, then
+        // each turned into its stage delay in place.
+        const std::span<double> delays = pulse.laneDelays(stages);
         RngLanes8(delayRng).fillUniform(rc.delay.lo(), rc.delay.hi(),
-                                        units);
+                                        delays);
+        if (grid) {
+            for (double &u : delays)
+                u = gridLink(rc, u);
+        } else {
+            const std::vector<clocktree::BufferedSite> &sites =
+                btree.sites();
+            for (std::size_t s = 0; s < stages; ++s)
+                for (std::size_t j = 0; j < blockW; ++j) {
+                    double &u = delays[s * blockW + j];
+                    u = treeStage(rc, sites[s + 1], u);
+                }
+        }
+        const std::span<const fault::FaultPlan> block(plans.data(), w);
+        const std::uint8_t declined =
+            grid ? pulse.gridLanes(d.rows, d.cols, block)
+                 : pulse.treeLanes(btree, block);
+        scalarNets += pulse.scalarNets();
+        for (std::size_t c = 0; c < cells; ++c)
+            std::memcpy(lane_scratch.data() + c * stride,
+                        pulse.firstRiseRow(d.cellNet[c]),
+                        w * sizeof(Time));
         for (std::size_t j = 0; j < w; ++j) {
             const fault::FaultPlan &plan = plans[j];
             if (kind_counters)
                 for (const fault::Fault &f : plan.faults())
                     (*kind_counters)[static_cast<std::size_t>(f.kind)]
                         ->inc();
-            const double *unit = units.data() + j;
-            const bool levelized =
-                grid ? pulse.grid(
-                           d.rows, d.cols,
-                           [&](int r, int c, int k) {
-                               const auto link =
-                                   (static_cast<std::size_t>(r) * d.cols +
-                                    static_cast<std::size_t>(c)) *
-                                       3 +
-                                   static_cast<std::size_t>(k);
-                               return gridLink(rc, unit[link * blockW]);
-                           },
-                           plan)
-                     : pulse.tree(
-                           btree,
-                           [&](const clocktree::BufferedSite &site,
-                               std::size_t s) {
-                               return desim::EdgeDelays::same(treeStage(
-                                   rc, site, unit[(s - 1) * blockW]));
-                           },
-                           plan);
-            if (levelized) {
-                for (std::size_t c = 0; c < cells; ++c)
-                    lane_scratch[c * stride + j] =
-                        pulse.firstRise(d.cellNet[c]);
-            } else {
+            if (declined >> j & 1u) {
                 // A same-time tie desim orders by event sequence: run
                 // the trial's own draws on a freshly built circuit.
                 if (fallbacks)
@@ -221,6 +247,8 @@ ResilienceScenario::runTrialBlock(
             out_clocked[i + j] = reduced[j].clockedFraction;
         }
     }
+    if (scalar_nets)
+        scalar_nets->inc(scalarNets);
     return draws;
 }
 
@@ -303,6 +331,9 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
     obs::Counter *fallbacks =
         cfg.metrics ? &cfg.metrics->counter("mc.resilience.desim_fallbacks")
                     : nullptr;
+    obs::Counter *scalarNets =
+        cfg.metrics ? &cfg.metrics->counter("mc.resilience.scalar_nets")
+                    : nullptr;
 
     ThreadPool pool(cfg.threads);
     runTrialRanges(pool, cfg, [&](std::size_t begin, std::size_t end) {
@@ -314,7 +345,7 @@ resilienceAtRate(const layout::Layout &l, int rows, int cols,
             {point.clockedFraction.samples.data() + begin, n},
             {faults.data() + begin, n},
             cfg.metrics ? &kindCounters : nullptr, laneScratch,
-            fallbacks);
+            fallbacks, scalarNets);
     });
     reduceInTrialOrder(point.maxCommSkew);
     reduceInTrialOrder(point.clockedFraction);

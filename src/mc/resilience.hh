@@ -163,17 +163,22 @@ struct ResilienceScenario
      * remainder. A block draws its trials' fault plans together
      * (fault::FaultPlan::generateBlock) and their wire delays through
      * RngLanes8 into a stage-major lane matrix -- the draws runTrial
-     * makes, bit for bit -- then evaluates each trial's faulty pulse
-     * in one levelized pass (fault::LevelizedPulse) instead of a desim
-     * event queue. The block's per-cell first arrivals go straight
-     * into a lane-major matrix reduced by a single
-     * core::SkewKernel::arrivalSkewBlock call: trial j's slots are
-     * bitwise what runTrial would have produced, whatever range the
-     * caller cuts. A trial whose pass meets a same-time tie desim
-     * orders by event sequence reruns on a freshly built desim circuit
-     * and counts one inc() on @p fallbacks when set. @p lane_scratch
-     * is reusable across calls on the same thread. Returns the RNG
-     * draws the range consumed (plan plus delay substreams).
+     * makes, bit for bit -- and evaluates the eight faulty pulses
+     * together in one levelized lane pass
+     * (fault::LevelizedPulse::treeLanes / gridLanes) instead of a
+     * desim event queue. The block's per-cell
+     * first arrivals are one lane-row copy per cell into a lane-major
+     * matrix reduced by a single core::SkewKernel::arrivalSkewBlock
+     * call: trial j's slots are bitwise what runTrial would have
+     * produced, whatever range the caller cuts. A trial whose pass
+     * meets a same-time tie desim orders by event sequence reruns on a
+     * freshly built desim circuit and counts one inc() on @p fallbacks
+     * when set; @p scalar_nets, when set, gets one inc() per call with
+     * the (trial, net) pairs that took the pass's transition-list
+     * path. @p lane_scratch is reusable across calls on the same
+     * thread, and so are the pass's own buffers, which the calling
+     * thread keeps for shapes up to a fixed size. Returns the RNG draws
+     * the range consumed (plan plus delay substreams).
      */
     std::uint64_t
     runTrialBlock(std::uint64_t seed, std::uint64_t first_trial,
@@ -183,7 +188,8 @@ struct ResilienceScenario
                   const std::array<obs::Counter *, fault::faultKindCount>
                       *kind_counters,
                   std::vector<Time> &lane_scratch,
-                  obs::Counter *fallbacks = nullptr) const;
+                  obs::Counter *fallbacks = nullptr,
+                  obs::Counter *scalar_nets = nullptr) const;
 };
 
 /**
@@ -206,8 +212,9 @@ compileResilienceScenario(const layout::Layout &l, int rows, int cols,
  * trials is one ResilienceScenario::runTrialBlock call. When
  * cfg.metrics is set, the sweep metrics of McConfig::metrics are
  * recorded next to the "mc.resilience.faults.<kind>" counters and
- * the "mc.resilience.desim_fallbacks" counter (trials rerun on desim,
- * see ResilienceScenario::runTrialBlock).
+ * the "mc.resilience.desim_fallbacks" counter (trials rerun on desim)
+ * and the "mc.resilience.scalar_nets" counter ((trial, net) pairs on
+ * the transition-list path), see ResilienceScenario::runTrialBlock.
  */
 ResiliencePoint resilienceAtRate(const layout::Layout &l, int rows,
                                  int cols, DistributionKind kind,

@@ -147,12 +147,21 @@ SweepService::run(const std::vector<SweepRequest> &batch,
     // units fan out on the pool, whose one job slot those batches must
     // take in turn.
     std::vector<std::uint8_t> unitDone(units.size(), 0);
+    // Resilience counters, resolved before the fan-out (registration
+    // locks; Counter::inc is lock-free).
+    obs::Counter *fallbacks =
+        cfg.metrics ? &cfg.metrics->counter("mc.resilience.desim_fallbacks")
+                    : nullptr;
+    obs::Counter *scalarNets =
+        cfg.metrics ? &cfg.metrics->counter("mc.resilience.scalar_nets")
+                    : nullptr;
     std::unique_lock<std::mutex> fanOut(fanOutMutex, std::defer_lock);
     if (units.size() > 1 && pool.threadCount() > 1)
         fanOut.lock();
     pool.parallelForRange(
         units.size(), 1,
         [&](std::size_t ub, std::size_t ue) {
+            std::vector<Time> laneScratch;
             for (std::size_t u = ub; u < ue; ++u) {
                 if (externallyCancelled())
                     stopToken.cancel();
@@ -179,7 +188,6 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                 } else {
                     const ResilienceRequest &q =
                         std::get<ResilienceRequest>(batch[w.request]);
-                    std::vector<Time> laneScratch;
                     compiled[w.request].scenario->runTrialBlock(
                         mcc.seed, q.trialOffset + w.begin, n,
                         {o.resilience.maxCommSkew.samples.data() +
@@ -189,7 +197,7 @@ SweepService::run(const std::vector<SweepRequest> &batch,
                              w.begin,
                          n},
                         {o.faultSamples.data() + w.begin, n}, nullptr,
-                        laneScratch);
+                        laneScratch, fallbacks, scalarNets);
                 }
                 unitDone[u] = 1;
             }

@@ -171,7 +171,10 @@ struct ServiceConfig
      * utilization under "serve.pool." (jobs/chunks counters,
      * active_workers, active_workers_hwm and queue_depth_hwm gauges
      * via obs::PoolMetricsObserver) -- so compute saturation is
-     * visible next to the front end's "net.*" latency metrics.
+     * visible next to the front end's "net.*" latency metrics -- and
+     * the resilience trials' "mc.resilience.desim_fallbacks" and
+     * "mc.resilience.scalar_nets" counters (see
+     * mc::ResilienceScenario::runTrialBlock).
      */
     obs::MetricsRegistry *metrics = nullptr;
 };

@@ -519,6 +519,229 @@ TEST(LevelizedPulse, RandomPlansMatchDesimOnEveryNet)
     EXPECT_EQ(trials, 324u);
 }
 
+/** Every site's rising edges under @p plan on a freshly built desim
+ *  ClockNet with treeAgrees' delays. */
+std::vector<std::vector<Time>>
+desimSiteRises(const clocktree::BufferedClockTree &btree,
+               std::uint64_t seed, const FaultPlan &plan,
+               const std::vector<std::size_t> &zero = {})
+{
+    Rng rng(seed);
+    desim::Simulator sim;
+    desim::ClockNet net(sim, btree, variedTreeDelay(rng, zero));
+    std::vector<std::vector<Time>> rises(net.siteCount());
+    for (std::size_t i = 0; i < net.siteCount(); ++i)
+        net.siteSignal(i).onChange([&rises, i](Time t, bool v) {
+            if (v)
+                rises[i].push_back(t);
+        });
+    FaultInjector(sim, plan).armClockNet(net);
+    net.drive(1.0, 1);
+    return rises;
+}
+
+/** The grid counterpart: every net's rising edges, root last. */
+std::vector<std::vector<Time>>
+desimNetRises(int rows, int cols, std::uint64_t seed, const FaultPlan &plan,
+              const std::vector<std::size_t> &zero = {})
+{
+    Rng rng(seed);
+    desim::Simulator sim;
+    TrixGrid grid(sim, rows, cols, variedGridDelay(rng, cols, zero));
+    std::vector<std::vector<Time>> rises(grid.nodeCount() + 1);
+    for (std::size_t i = 0; i < rises.size(); ++i)
+        grid.netSignal(i).onChange([&rises, i](Time t, bool v) {
+            if (v)
+                rises[i].push_back(t);
+        });
+    FaultInjector(sim, plan).armTrixGrid(grid);
+    grid.pulse();
+    return rises;
+}
+
+/** One trial of a lane pass: its plan, its delay seed and the stages
+ *  (or links) without delay. */
+struct LaneTrial
+{
+    FaultPlan plan;
+    std::uint64_t seed;
+    std::vector<std::size_t> zero;
+};
+
+/** Run @p trials as one lane pass over @p btree (or, when null, a rows
+ *  x cols grid), lane j being trials[j] with its own delays. Returns
+ *  the declined lanes. */
+std::uint8_t
+runLanePass(LevelizedPulse &pulse, const clocktree::BufferedClockTree *btree,
+            int rows, int cols, const std::vector<LaneTrial> &trials)
+{
+    constexpr std::size_t lanes = LevelizedPulse::lanes;
+    std::vector<FaultPlan> plans;
+    if (btree) {
+        const auto &sites = btree->sites();
+        const std::span<double> d = pulse.laneDelays(sites.size() - 1);
+        for (std::size_t j = 0; j < trials.size(); ++j) {
+            Rng rng(trials[j].seed);
+            const auto fn = variedTreeDelay(rng, trials[j].zero);
+            for (std::size_t i = 1; i < sites.size(); ++i)
+                d[(i - 1) * lanes + j] = fn(sites[i], i).rise;
+            plans.push_back(trials[j].plan);
+        }
+        return pulse.treeLanes(*btree, plans);
+    }
+    const std::span<double> d =
+        pulse.laneDelays(3 * static_cast<std::size_t>(rows) * cols);
+    for (std::size_t j = 0; j < trials.size(); ++j) {
+        Rng rng(trials[j].seed);
+        const auto fn = variedGridDelay(rng, cols, trials[j].zero);
+        std::size_t link = 0;
+        for (int r = 0; r < rows; ++r)
+            for (int c = 0; c < cols; ++c)
+                for (int k = 0; k < 3; ++k)
+                    d[link++ * lanes + j] = fn(r, c, k);
+        plans.push_back(trials[j].plan);
+    }
+    return pulse.gridLanes(rows, cols, plans);
+}
+
+TEST(LevelizedPulse, LanePassMatchesDesimOnEveryNetAtEveryWidth)
+{
+    // RandomPlansMatchDesimOnEveryNet's 324 plans and delay seeds,
+    // eight different trials per lane pass: per side and distribution
+    // its 36 trials run as one pass of each width 1 to 8. Onsets spread
+    // over the pulse put later-onset stage faults on the list path.
+    std::size_t trials = 0;
+    for (const int side : {4, 6, 16}) {
+        const layout::Layout l = layout::meshLayout(side, side);
+        const auto htree = clocktree::BufferedClockTree::insertBuffers(
+            clocktree::buildHTreeGrid(l, side, side), 4.0);
+        const auto spine = clocktree::BufferedClockTree::insertBuffers(
+            clocktree::buildSpine(l), 4.0);
+        std::vector<LaneTrial> treeTrials[2], gridTrials;
+        for (const double rate : {0.02, 0.1, 0.3}) {
+            for (const Time window : {0.0, 6.0}) {
+                FaultRates rates = FaultRates::uniform(rate);
+                rates.onsetWindow = window;
+                for (std::uint64_t t = 0; t < 6; ++t) {
+                    rates.glitchWidth = t % 2 == 0 ? 0.05 : 0.7;
+                    treeTrials[0].push_back(
+                        {FaultPlan::forTrial(universeOf(htree), rates, 11, t),
+                         100 + t, {}});
+                    treeTrials[1].push_back(
+                        {FaultPlan::forTrial(universeOf(spine), rates, 11, t),
+                         100 + t, {}});
+                    gridTrials.push_back(
+                        {FaultPlan::forTrial(TrixGrid::universe(side, side),
+                                             rates, 12, t),
+                         200 + t, {}});
+                }
+            }
+        }
+        const clocktree::BufferedClockTree *shapes[] = {&htree, &spine,
+                                                        nullptr};
+        const std::vector<LaneTrial> *cases[] = {&treeTrials[0],
+                                                 &treeTrials[1], &gridTrials};
+        for (int s = 0; s < 3; ++s) {
+            LevelizedPulse pulse;
+            std::size_t at = 0;
+            for (std::size_t w = 1; w <= LevelizedPulse::lanes; ++w) {
+                SCOPED_TRACE(testing::Message() << side << "x" << side
+                                                << " shape " << s
+                                                << " width " << w);
+                const std::vector<LaneTrial> block(
+                    cases[s]->begin() + static_cast<std::ptrdiff_t>(at),
+                    cases[s]->begin() + static_cast<std::ptrdiff_t>(at + w));
+                EXPECT_EQ(runLanePass(pulse, shapes[s], side, side, block),
+                          0u);
+                for (std::size_t j = 0; j < w; ++j) {
+                    const std::vector<std::vector<Time>> rises =
+                        shapes[s] ? desimSiteRises(*shapes[s], block[j].seed,
+                                                   block[j].plan)
+                                  : desimNetRises(side, side, block[j].seed,
+                                                  block[j].plan);
+                    for (std::size_t i = 0; i < rises.size(); ++i)
+                        EXPECT_EQ(pulse.risingArrivals(i, j), rises[i])
+                            << "lane " << j << " net " << i;
+                }
+                at += w;
+                trials += w;
+            }
+            EXPECT_EQ(at, cases[s]->size());
+        }
+    }
+    EXPECT_EQ(trials, 324u);
+}
+
+TEST(LevelizedPulse, ALaneWithArmedFaultsLeavesTheOtherLanesAlone)
+{
+    // One lane carries a root glitch, an onset-0 stuck-high root, or an
+    // onset-0 stuck-high parent over a zero-delay child (its transitions
+    // are written while arming, so nothing below it is simple); the
+    // other seven lanes have no fault. Every lane, with the faulty one
+    // at each position, equals its own width-1 pass on every net.
+    const layout::Layout l = layout::meshLayout(8, 8);
+    const auto btree = clocktree::BufferedClockTree::insertBuffers(
+        clocktree::buildHTreeGrid(l, 8, 8), 4.0);
+    const auto &sites = btree.sites();
+    std::size_t s = 1; // a site whose parent is not the root
+    while (sites[s].parent == 0)
+        ++s;
+    const std::size_t p = sites[s].parent;
+    const std::size_t root = 8 * 8; // the grid's root net
+    const std::size_t below = 1 * 8 + 3; // grid node (1, 3)
+    struct Special
+    {
+        bool grid;
+        LaneTrial trial;
+    };
+    const Special specials[] = {
+        {false,
+         {planOf({{FaultKind::TransientGlitch, 0, 0.0, 0.3, false}}), 7, {}}},
+        {false,
+         {planOf({{FaultKind::StuckAtNet, 0, 0.0, 1.0, true}}), 7, {}}},
+        {false,
+         {planOf({{FaultKind::StuckAtNet, p, 0.0, 1.0, true},
+                  {FaultKind::TransientGlitch, s, 0.0, 0.1, false}}),
+          9,
+          {s}}},
+        {true,
+         {planOf({{FaultKind::TransientGlitch, root, 0.0, 0.3, false}}), 8,
+          {}}},
+        {true,
+         {planOf({{FaultKind::StuckAtNet, root, 0.0, 1.0, true}}), 8, {}}},
+        {true,
+         {planOf({{FaultKind::StuckAtNet, 2, 0.0, 1.0, true},
+                  {FaultKind::StuckAtNet, 3, 0.0, 1.0, true},
+                  {FaultKind::TransientGlitch, below, 0.0, 0.1, false}}),
+          10,
+          {below * 3 + 0, below * 3 + 1}}},
+    };
+    LevelizedPulse lanePass, single;
+    for (std::size_t k = 0; k < std::size(specials); ++k) {
+        const Special &sp = specials[k];
+        for (std::size_t at = 0; at < LevelizedPulse::lanes; ++at) {
+            SCOPED_TRACE(testing::Message()
+                         << "special " << k << " in lane " << at);
+            std::vector<LaneTrial> block;
+            for (std::size_t j = 0; j < LevelizedPulse::lanes; ++j)
+                block.push_back(j == at ? sp.trial
+                                        : LaneTrial{FaultPlan(), 300 + j, {}});
+            const std::uint8_t declined = runLanePass(
+                lanePass, sp.grid ? nullptr : &btree, 8, 8, block);
+            const std::size_t nets = sp.grid ? root + 1 : sites.size();
+            for (std::size_t j = 0; j < block.size(); ++j) {
+                const std::uint8_t alone = runLanePass(
+                    single, sp.grid ? nullptr : &btree, 8, 8, {block[j]});
+                ASSERT_EQ(declined >> j & 1u, alone) << "lane " << j;
+                for (std::size_t i = 0; i < nets; ++i)
+                    EXPECT_EQ(lanePass.risingArrivals(i, j),
+                              single.risingArrivals(i))
+                        << "lane " << j << " net " << i;
+            }
+        }
+    }
+}
+
 TEST(LevelizedPulse, RootGlitchAndStuckRootRaceTheClockEdges)
 {
     // Armed faults run before the clock's rise at 0 (and, on the
@@ -631,6 +854,55 @@ TEST(LevelizedPulse, StuckHighParentOverAZeroDelayChildFollowsPlanOrder)
     for (std::size_t k = 0; k < gridPlans.size(); ++k) {
         SCOPED_TRACE(testing::Message() << "grid plan " << k);
         EXPECT_TRUE(gridAgrees(8, 8, 10, gridPlans[k], zeroLinks));
+    }
+}
+
+TEST(LevelizedPulse, StageFaultsDueAtOnceFoldIntoTheDelay)
+{
+    // Dead and drift faults due at once fold into the lane's stage
+    // delay: the last drift's scale wins, dead wins over drift, and a
+    // later onset on the same stage keeps the list path. A rise an
+    // onset-0 stuck-high pushes while arming is not folded: it passes
+    // a stage whose dead fault comes later in plan order.
+    const layout::Layout l = layout::meshLayout(8, 8);
+    const auto tree = clocktree::buildHTreeGrid(l, 8, 8);
+    const auto btree = clocktree::BufferedClockTree::insertBuffers(tree, 4.0);
+    const auto &sites = btree.sites();
+    std::size_t s = 1; // a site whose parent is not the root
+    while (sites[s].parent == 0)
+        ++s;
+    const std::size_t p = sites[s].parent;
+    const Fault stuckP{FaultKind::StuckAtNet, p, 0.0, 1.0, true};
+    const Fault deadS{FaultKind::DeadBuffer, s - 1, 0.0, 1.0, false};
+    const Fault driftA{FaultKind::DelayDrift, s - 1, 0.0, 2.5, false};
+    const Fault driftB{FaultKind::DelayDrift, s - 1, 0.0, 1.7, false};
+    const Fault driftLate{FaultKind::DelayDrift, s - 1, 0.3, 3.0, false};
+    const std::vector<FaultPlan> plans = {
+        planOf({driftA, driftB}),   planOf({driftB, driftA}),
+        planOf({driftA, deadS}),    planOf({deadS, driftB}),
+        planOf({driftA, driftLate}), planOf({driftLate, driftB}),
+        planOf({stuckP, deadS}),    planOf({deadS, stuckP}),
+        planOf({stuckP, driftA, driftB}),
+    };
+    for (std::size_t k = 0; k < plans.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "tree plan " << k);
+        EXPECT_TRUE(treeAgrees(tree, btree, 11, plans[k]));
+    }
+
+    // Grid: node (1, 3)'s middle link comes from node 3.
+    const std::size_t link = (1 * 8 + 3) * 3 + 1;
+    const Fault stuck3{FaultKind::StuckAtNet, 3, 0.0, 1.0, true};
+    const Fault deadL{FaultKind::DeadBuffer, link, 0.0, 1.0, false};
+    const Fault driftLA{FaultKind::DelayDrift, link, 0.0, 2.5, false};
+    const Fault driftLB{FaultKind::DelayDrift, link, 0.0, 1.7, false};
+    const std::vector<FaultPlan> gridPlans = {
+        planOf({driftLA, driftLB}), planOf({driftLB, driftLA}),
+        planOf({stuck3, deadL}),    planOf({deadL, stuck3}),
+        planOf({stuck3, driftLA}),
+    };
+    for (std::size_t k = 0; k < gridPlans.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "grid plan " << k);
+        EXPECT_TRUE(gridAgrees(8, 8, 12, gridPlans[k]));
     }
 }
 

@@ -487,6 +487,42 @@ TEST(SweepService, ExportsCacheAndBatchMetrics)
     EXPECT_EQ(reg.counter("serve.batch.cancelled").value(), 0u);
 }
 
+TEST(SweepService, ExportsResilienceFallbacksAndScalarNets)
+{
+    // A served 16x16 H-tree at rate 0.02 never falls back to desim,
+    // sends some (trial, net) pairs down the levelized pass's
+    // transition-list path, and counts the same pairs at 1 and 4
+    // threads.
+    const layout::Layout l = layout::meshLayout(16, 16);
+    serve::ResilienceRequest rq;
+    rq.layout = &l;
+    rq.rows = 16;
+    rq.cols = 16;
+    rq.kind = mc::DistributionKind::HTree;
+    rq.faultRate = 0.02;
+    rq.cfg.seed = 0x5e12;
+    rq.cfg.trials = 256;
+    rq.cfg.grain = 64;
+    std::uint64_t scalarAtOne = 0;
+    for (const unsigned tc : {1u, 4u}) {
+        obs::MetricsRegistry reg;
+        serve::ServiceConfig sc;
+        sc.threads = tc;
+        sc.metrics = &reg;
+        serve::SweepService svc(sc);
+        const serve::BatchOutcome out = svc.run({rq});
+        ASSERT_EQ(out.outcomes.at(0).trialsDone, 256u) << tc;
+        const std::uint64_t scalar =
+            reg.counter("mc.resilience.scalar_nets").value();
+        EXPECT_EQ(reg.counter("mc.resilience.desim_fallbacks").value(), 0u)
+            << tc;
+        EXPECT_GT(scalar, 0u) << tc;
+        if (tc == 1)
+            scalarAtOne = scalar;
+        EXPECT_EQ(scalar, scalarAtOne) << tc;
+    }
+}
+
 TEST(SweepService, ExportsPoolUtilizationMetrics)
 {
     // The ThreadPool's utilization flows through the PoolObserver
